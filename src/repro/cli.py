@@ -18,8 +18,8 @@ Usage::
     python -m repro submit --ids 7,24 --cores 1,4,16 --wait
     python -m repro status
 
-Legacy invocations without the ``run`` subcommand (``python -m repro
-fig5``) keep working: artifact names are aliased to ``run <artifact>``.
+Paper artifacts always go through ``run``: a bare ``python -m repro
+fig5`` exits 2 with a one-line hint naming ``repro run fig5``.
 
 Output is the same tabular rendering the benchmark harness prints; the
 benchmark harness additionally asserts the paper's findings, so use
@@ -651,25 +651,19 @@ def _dispatch_predict(args, out=None) -> int:
     return run_predict(args, out=out)
 
 
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """Legacy alias shim: ``repro fig5`` means ``repro run fig5``."""
-    if argv and argv[0] in ARTIFACTS + ("all", "validate"):
-        return ["run", *argv]
-    return argv
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    argv = _normalize_argv(list(argv))
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
-        print(
-            f"repro: unknown command {argv[0]!r} — expected one of: "
-            f"{', '.join(COMMANDS)} (or a paper artifact: "
-            f"{', '.join(ARTIFACTS + ('all', 'validate'))})",
-            file=sys.stderr,
-        )
+        if argv[0] in ARTIFACTS + ("all", "validate"):
+            hint = f"did you mean `repro run {argv[0]}`?"
+        else:
+            hint = (
+                f"expected one of: {', '.join(COMMANDS)} (paper artifacts "
+                f"run as `repro run <artifact>`)"
+            )
+        print(f"repro: unknown command {argv[0]!r} — {hint}", file=sys.stderr)
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -65,29 +65,6 @@ __all__ = [
     "FT_RESULT_TAG",
 ]
 
-#: names this module used to re-export from the SCC layer; served via
-#: module ``__getattr__`` with a DeprecationWarning so old call sites
-#: (``from repro.core.experiment import SCCConfig``) keep working.
-_DEPRECATED_SCC_ALIASES = {"SCCConfig", "CONF0"}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SCC_ALIASES:
-        import warnings
-
-        from ..scc import chip as _chip
-
-        warnings.warn(
-            f"repro.core.experiment.{name} is deprecated; generic code "
-            "should use repro.machine.MachineConfig (the structural "
-            "config type) or get_machine(...).presets — import "
-            f"{name} from repro.scc.chip if you really mean the SCC.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_chip, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: SpMV repetitions per timed run, matching the usual benchmarking loop.
 DEFAULT_ITERATIONS = 16
 
@@ -768,61 +745,33 @@ class SpMVExperiment:
                     f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
                 )
 
-        if mode == "predict":
-            return self._run_predict(
-                n_cores=n_cores,
-                core_map=core_map,
-                mapping_name=mapping_name,
-                config=config,
-                kernel=kernel,
-                iterations=iterations,
-                verify=verify,
-                x=x,
-                time_budget=time_budget,
-                tracer=tracer,
+        predicted = False
+        if mode == "sim":
+            makespan, timings, y = self._time_sim(
+                n_cores, core_map, config, kernel, iterations, verify, x,
+                time_budget, tracer,
             )
-        if mode in ("model", "exact-trace"):
-            return self._run_analytic(
-                n_cores=n_cores,
-                core_map=core_map,
-                mapping_name=mapping_name,
-                config=config,
-                kernel=kernel,
-                iterations=iterations,
-                verify=verify,
-                x=x,
-                time_budget=time_budget,
-                tracer=tracer,
-                exact=(mode == "exact-trace"),
-            )
-
-        traces = self.traces(n_cores)
-        summaries = [
-            access_summary(
-                t,
-                iterations=iterations,
-                l2_enabled=config.l2_enabled,
-                no_x_miss=(kernel == "no_x_miss"),
-                l2_bytes=self.machine.cache.l2_bytes,
-            )
-            for t in traces
-        ]
-        mem = self.machine.memory_system(config, topology=self.topology, tracer=tracer)
-        timings = solve_core_times(summaries, core_map, config, mem, self.timing)
-
-        durations = [t.time for t in timings]
-        blocks = self.partition(n_cores).ranges()
-        x_vec = x if x is not None else np.ones(self.a.n_cols)
-        runtime = RCCERuntime(
-            core_map, config=config, topology=self.topology, tracer=tracer
-        )
-        results = runtime.run(
-            _ue_body, durations, blocks, self.a, x_vec, kernel, verify, until=time_budget
-        )
-        makespan = runtime.makespan(results)
-        y = results[0].value if verify else None
+        else:
+            makespan = None
+            if mode == "predict":
+                makespan = self._predict_makespan(
+                    n_cores, core_map, config, kernel, iterations, time_budget
+                )
+            if makespan is None:  # model, exact-trace, or predict fallback
+                makespan, timings = self._time_analytic(
+                    n_cores, core_map, config, kernel, iterations, time_budget,
+                    tracer, exact=(mode == "exact-trace"),
+                )
+            else:
+                timings, predicted = [], True
+            # The numeric result never came from the timing path —
+            # compute it directly, outside anything a caller would time.
+            y = self._direct_y(n_cores, kernel, x) if verify else None
         if tracer:
-            self._emit_core_metrics(tracer, timings)
+            if predicted:
+                tracer.metrics.counter("predict.answers").inc()
+            else:
+                self._emit_core_metrics(tracer, timings)
 
         return ExperimentResult(
             matrix_name=self.name,
@@ -839,13 +788,23 @@ class SpMVExperiment:
             ws_per_core_bytes=self._ws_per_core(n_cores),
             y=y,
             machine=self.machine.machine_id,
+            predicted=predicted,
         )
 
-    def _run_analytic(
+    def _direct_y(
+        self, n_cores: int, kernel: str, x: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """``y`` computed block by block over the partition, off the runtime."""
+        x_vec = x if x is not None else np.ones(self.a.n_cols)
+        kernel_fn = spmv_no_x_miss if kernel == "no_x_miss" else spmv_row_range
+        return np.concatenate(
+            [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
+        )
+
+    def _time_sim(
         self,
         n_cores: int,
         core_map: List[int],
-        mapping_name: str,
         config: MachineConfig,
         kernel: str,
         iterations: int,
@@ -853,8 +812,47 @@ class SpMVExperiment:
         x: Optional[np.ndarray],
         time_budget: Optional[float],
         tracer: Optional[Any],
+    ) -> Tuple[float, List[CoreTiming], Optional[np.ndarray]]:
+        """``mode="sim"``: replay the job on the event-driven runtime.
+
+        Returns ``(makespan, per-core timings, y)``; with ``verify`` the
+        UEs run the real kernel and gather ``y`` on the runtime.
+        """
+        summaries = [
+            access_summary(
+                t,
+                iterations=iterations,
+                l2_enabled=config.l2_enabled,
+                no_x_miss=(kernel == "no_x_miss"),
+                l2_bytes=self.machine.cache.l2_bytes,
+            )
+            for t in self.traces(n_cores)
+        ]
+        mem = self.machine.memory_system(config, topology=self.topology, tracer=tracer)
+        timings = solve_core_times(summaries, core_map, config, mem, self.timing)
+        durations = [t.time for t in timings]
+        blocks = self.partition(n_cores).ranges()
+        x_vec = x if x is not None else np.ones(self.a.n_cols)
+        runtime = RCCERuntime(
+            core_map, config=config, topology=self.topology, tracer=tracer
+        )
+        results = runtime.run(
+            _ue_body, durations, blocks, self.a, x_vec, kernel, verify, until=time_budget
+        )
+        y = results[0].value if verify else None
+        return runtime.makespan(results), timings, y
+
+    def _time_analytic(
+        self,
+        n_cores: int,
+        core_map: List[int],
+        config: MachineConfig,
+        kernel: str,
+        iterations: int,
+        time_budget: Optional[float],
+        tracer: Optional[Any],
         exact: bool = False,
-    ) -> ExperimentResult:
+    ) -> Tuple[float, List[CoreTiming]]:
         """The analytic path: per-core solve + barrier recurrence.
 
         ``exact=False`` is ``mode="model"`` (batched HOTL summaries);
@@ -899,33 +897,7 @@ class SpMVExperiment:
         if time_budget is not None and makespan > time_budget:
             stuck = [ue for ue, done in enumerate(exited) if done > time_budget]
             raise RCCEBudgetExceededError(time_budget, stuck, time_budget)
-
-        y = None
-        if verify:
-            x_vec = x if x is not None else np.ones(self.a.n_cols)
-            kernel_fn = spmv_no_x_miss if kernel == "no_x_miss" else spmv_row_range
-            y = np.concatenate(
-                [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
-            )
-        if tracer:
-            self._emit_core_metrics(tracer, timings)
-
-        return ExperimentResult(
-            matrix_name=self.name,
-            n=self.a.n_rows,
-            nnz=self.a.nnz,
-            n_cores=n_cores,
-            config_name=config.name,
-            mapping=mapping_name,
-            kernel=kernel,
-            iterations=iterations,
-            makespan=makespan,
-            per_core=timings,
-            power_watts=self._chip_power(config),
-            ws_per_core_bytes=self._ws_per_core(n_cores),
-            y=y,
-            machine=self.machine.machine_id,
-        )
+        return makespan, timings
 
     @staticmethod
     def _emit_core_metrics(tracer: Any, timings: Sequence[Any]) -> None:
@@ -949,82 +921,37 @@ class SpMVExperiment:
             "model.mem_stall_fraction", [t.mem_stall_fraction for t in timings]
         )
 
-    def _run_predict(
+    def _predict_makespan(
         self,
         n_cores: int,
         core_map: List[int],
-        mapping_name: str,
         config: MachineConfig,
         kernel: str,
         iterations: int,
-        verify: bool,
-        x: Optional[np.ndarray],
         time_budget: Optional[float],
-        tracer: Optional[Any],
-    ) -> ExperimentResult:
-        """The microsecond tier: answer from the trained regressor.
+    ) -> Optional[float]:
+        """The microsecond tier: the trained regressor's makespan.
 
         No cache characterization, no contention solve, no barrier
         recurrence — just the cached structural features of this
         (matrix, partition, mapping) point pushed through the machine's
-        trained :class:`~repro.predict.regressor.PerfRegressor`.  When
-        no usable artifact exists, falls back to ``mode="model"``
+        trained :class:`~repro.predict.regressor.PerfRegressor`.  Returns
+        None when no usable artifact exists
         (:func:`~repro.predict.artifact.get_predictor` warns once per
-        machine); the result then carries ``predicted=False``, so
-        callers can tell which tier actually answered.
+        machine): :meth:`run` then falls back to ``mode="model"`` and the
+        result carries ``predicted=False``, so callers can tell which
+        tier actually answered.
         """
         from ..predict.artifact import get_predictor
 
         predictor = get_predictor(self.machine)
         if predictor is None:
-            return self._run_analytic(
-                n_cores=n_cores,
-                core_map=core_map,
-                mapping_name=mapping_name,
-                config=config,
-                kernel=kernel,
-                iterations=iterations,
-                verify=verify,
-                x=x,
-                time_budget=time_budget,
-                tracer=tracer,
-                exact=False,
-            )
-
+            return None
         feats = self.point_feature_vector(n_cores, core_map, config, kernel, iterations)
         makespan = predictor.predict_makespan(feats, self.a.nnz, iterations)
         if time_budget is not None and makespan > time_budget:
             raise RCCEBudgetExceededError(time_budget, list(range(n_cores)), time_budget)
-
-        y = None
-        if verify:
-            # The numeric result never came from a model — compute it
-            # directly, outside anything a caller would time.
-            x_vec = x if x is not None else np.ones(self.a.n_cols)
-            kernel_fn = spmv_no_x_miss if kernel == "no_x_miss" else spmv_row_range
-            y = np.concatenate(
-                [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
-            )
-        if tracer:
-            tracer.metrics.counter("predict.answers").inc()
-
-        return ExperimentResult(
-            matrix_name=self.name,
-            n=self.a.n_rows,
-            nnz=self.a.nnz,
-            n_cores=n_cores,
-            config_name=config.name,
-            mapping=mapping_name,
-            kernel=kernel,
-            iterations=iterations,
-            makespan=makespan,
-            per_core=[],
-            power_watts=self._chip_power(config),
-            ws_per_core_bytes=self._ws_per_core(n_cores),
-            y=y,
-            machine=self.machine.machine_id,
-            predicted=True,
-        )
+        return makespan
 
     def run_fault_tolerant(
         self,

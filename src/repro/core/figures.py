@@ -14,7 +14,8 @@ Figure sweeps default to the analytic fast path
 (``mode="model"``, see ``docs/PERFORMANCE.md``); pass ``mode="sim"`` —
 or ``repro run --exact`` — to replay every point on the event-driven
 runtime instead, and ``workers=N`` to shard a sweep's runs over forked
-worker processes (results are identical either way).
+worker processes under the supervised executor
+(:mod:`repro.core.supervise`; results are identical either way).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .comparison import comparison_table
 from .experiment import DEFAULT_ITERATIONS, ExperimentResult, SpMVExperiment
 from .mapping import single_core_at_distance
 from .metrics import average_gflops, average_mflops_per_watt
-from .parallel import parallel_map
 from .supervise import SupervisePolicy, supervised_parallel_map
 
 __all__ = [
@@ -137,26 +137,24 @@ def _batch_run(
 ) -> List[ExperimentResult]:
     """Run ``jobs`` — ``(experiment index, run kwargs)`` — preserving order.
 
-    The workhorse behind every ``figN_data``: serial execution runs each
-    job in place; ``workers > 1`` groups the jobs by experiment (one
-    task per matrix, the natural shard — workers then reuse their
-    partition/trace caches across that matrix's runs) and fans the
-    groups out via :func:`repro.core.parallel.parallel_map`.  Results
-    come back aligned with ``jobs`` and identical to serial execution.
+    The workhorse behind every ``figN_data``.  ``workers == 1`` without
+    a ``policy`` runs each job in place on the caller's experiments (no
+    fork, no rebuild).  Otherwise the jobs are grouped by experiment
+    (one task per matrix, the natural shard — workers then reuse their
+    partition/trace caches across that matrix's runs) and fanned out
+    via :func:`~repro.core.supervise.supervised_parallel_map` under
+    ``policy`` (default: :class:`SupervisePolicy`): crashed or hung
+    workers are retried and, when ``policy.on_failure`` requests it, a
+    failing batch is rerun serially in the parent and then on
+    ``mode="model"``.  A figure sweep cannot tolerate holes — a batch
+    surviving neither retries nor the ladder raises
+    :class:`~repro.core.supervise.QuarantinedTaskError`.  Results come
+    back aligned with ``jobs`` and identical to serial execution.
     Experiments lacking a ``suite_ref`` (built outside
     :func:`suite_experiments`) cannot be rebuilt in a worker; they fall
     back to serial with a warning.
-
-    With a ``policy`` the fan-out runs under the self-healing supervisor
-    (even at ``workers=1``, a single supervised worker): crashed or hung
-    workers are retried per policy and, when ``policy.on_failure``
-    requests it, a failing batch is rerun serially in the parent and
-    then on ``mode="model"``.  A figure sweep cannot tolerate holes —
-    a batch surviving neither retries nor the ladder raises
-    :class:`~repro.core.supervise.QuarantinedTaskError`.
     """
-    supervised = policy is not None
-    if (workers > 1 or supervised) and any(
+    if (workers > 1 or policy is not None) and any(
         experiments[i][1].suite_ref is None for i, _kw in jobs
     ):
         warnings.warn(
@@ -164,10 +162,10 @@ def _batch_run(
             "suite_experiments() (suite_ref is unset); running serially",
             stacklevel=3,
         )
-        workers = 1
-        supervised = False
-    if workers <= 1 and not supervised:
+        workers, policy = 1, None
+    if workers <= 1 and policy is None:
         return [experiments[i][1].run(mode=mode, **kw) for i, kw in jobs]
+    policy = policy or SupervisePolicy()
     by_exp: Dict[int, List[int]] = {}
     for j, (i, _kw) in enumerate(jobs):
         by_exp.setdefault(i, []).append(j)
@@ -178,23 +176,19 @@ def _batch_run(
         mid, scale = ref[0], ref[1]
         task = (mid, scale, exp.name, [dict(jobs[j][1], mode=mode) for j in job_ids])
         tasks.append(task + tuple(ref[2:]))
-    if supervised:
-        assert policy is not None
-        fallbacks: List[Tuple[str, object]] = []
-        if policy.on_failure in ("serial", "model"):
-            fallbacks.append(("serial", run_suite_batch))
-        if policy.on_failure == "model" and mode != "model":
-            fallbacks.append(("model", _model_fallback))
-        batches = supervised_parallel_map(
-            run_suite_batch,
-            tasks,
-            max(1, workers),
-            policy,
-            identity=_task_identity,
-            fallbacks=fallbacks,  # type: ignore[arg-type]
-        )
-    else:
-        batches = parallel_map(run_suite_batch, tasks, workers)
+    fallbacks: List[Tuple[str, object]] = []
+    if policy.on_failure in ("serial", "model"):
+        fallbacks.append(("serial", run_suite_batch))
+    if policy.on_failure == "model" and mode != "model":
+        fallbacks.append(("model", _model_fallback))
+    batches = supervised_parallel_map(
+        run_suite_batch,
+        tasks,
+        workers,
+        policy,
+        identity=_task_identity,
+        fallbacks=fallbacks,  # type: ignore[arg-type]
+    )
     out: List[ExperimentResult] = [None] * len(jobs)  # type: ignore[list-item]
     for job_ids, batch in zip(by_exp.values(), batches):
         for j, result in zip(job_ids, batch):

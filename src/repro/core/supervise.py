@@ -1,12 +1,12 @@
 """Self-healing supervised execution: retry, timeout, quarantine.
 
 The paper's artifacts are hours-long sweeps — the full matrix suite
-crossed with 1–48 cores, mappings and frequency configs — and a single
-crashed or hung worker must not abort a campaign.  The bare pool in
-:mod:`repro.core.parallel` surfaces any worker death as
-:class:`~repro.core.parallel.CampaignWorkerCrash` and tears the sweep
-down; this module wraps the same fork-based sharding in a *supervisor*
-that keeps the campaign running through real failures:
+crossed with 1–48 cores, mappings and frequency configs — and every
+grid point is an independent deterministic computation.  This module is
+the repository's one process-pool executor: every ``--workers`` fan-out
+(campaigns, figure sweeps, ``repro faults``, ``repro bench``, the
+campaign server) shards its points over forked workers here, and a
+*supervisor* keeps the sweep running through real failures:
 
 - **timeouts** — each task carries a wall-clock deadline; a hung worker
   (SIGSTOP'd, livelocked, wedged in a syscall) is SIGKILLed at the
@@ -31,11 +31,12 @@ Workers talk to the supervisor over one private pipe each — never a
 shared queue — so a SIGKILLed worker can corrupt only its own channel,
 which the supervisor observes as EOF and handles like any other death.
 Results are yielded in submission order with a bounded in-flight
-window, preserving the bitwise serial≡parallel contract of
-:mod:`repro.core.parallel`.
+window, so a parallel sweep's answers are bitwise identical to the
+serial in-process loop's.  Workers use the ``fork`` start method: they
+inherit the parent's loaded suite and caches, and task functions need
+not be picklable.
 
-Chaos hook: :data:`CHAOS_ENV` generalizes the single-identity
-``REPRO_FAULT_WORKER_CRASH`` crash hook to a *seeded fault schedule* —
+Chaos hook: :data:`CHAOS_ENV` holds a *seeded fault schedule* —
 a JSON map from task identity to an OS-level action (``kill``: abrupt
 ``os._exit``; ``stop``: SIGSTOP yourself and hang; ``raise``: throw)
 applied on selected attempts.  ``repro chaos``
@@ -49,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -71,7 +73,6 @@ from typing import (
 )
 
 from ..obs.metrics import MetricsRegistry
-from .parallel import available_parallelism, fork_context, in_worker, maybe_crash
 
 __all__ = [
     "CHAOS_ENV",
@@ -82,8 +83,11 @@ __all__ = [
     "SupervisePolicy",
     "TaskFailure",
     "TaskOutcome",
+    "available_parallelism",
     "backoff_delay",
     "chaos_spec",
+    "fork_context",
+    "in_worker",
     "maybe_chaos",
     "supervised_iter_ordered",
     "supervised_parallel_map",
@@ -91,8 +95,7 @@ __all__ = [
 
 #: environment variable holding a JSON chaos schedule: a map from task
 #: identity to ``{"action": "kill"|"stop"|"raise", "attempts": [1, ...]
-#: | "all"}``.  Honoured only inside worker processes, like the legacy
-#: single-identity ``REPRO_FAULT_WORKER_CRASH`` hook it generalizes.
+#: | "all"}``.  Honoured only inside worker processes.
 CHAOS_ENV = "REPRO_FAULT_CHAOS"
 
 #: the OS-level actions a chaos schedule may request per attempt.
@@ -104,9 +107,27 @@ CHAOS_ACTIONS = ("kill", "stop", "raise")
 #: retries on the analytic fast path; ``raise`` aborts the sweep.
 ON_FAILURE_LADDER = ("quarantine", "serial", "model", "raise")
 
-#: worker exit code used by the ``kill`` chaos action (distinct from the
-#: legacy crash hook's 17, so post-mortems can tell them apart).
+#: worker exit code used by the ``kill`` chaos action, so post-mortems
+#: can tell an injected death from a real one.
 _CHAOS_EXIT = 23
+
+
+def fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The ``fork`` start-method context, or None where unsupported."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform-dependent
+        return None
+
+
+def in_worker() -> bool:
+    """True when running inside a multiprocessing child process."""
+    return multiprocessing.parent_process() is not None
+
+
+def available_parallelism() -> int:
+    """Usable CPU count (>= 1)."""
+    return max(1, os.cpu_count() or 1)
 
 
 class ChaosInjectedError(RuntimeError):
@@ -338,9 +359,7 @@ def _worker_main(
             return
         task_id, attempt, item = msg
         try:
-            identity = identity_of(item)
-            maybe_crash(identity)  # legacy single-identity hook
-            maybe_chaos(identity, attempt)
+            maybe_chaos(identity_of(item), attempt)
             value = func(item)
         except BaseException:  # noqa: BLE001 - report, never die silently
             payload = (task_id, False, traceback.format_exc())
@@ -422,11 +441,9 @@ def supervised_iter_ordered(
 ) -> Iterator[TaskOutcome]:
     """Yield a :class:`TaskOutcome` per item, in submission order.
 
-    The self-healing analogue of
-    :func:`repro.core.parallel.iter_ordered`: worker deaths, hangs and
-    task exceptions are retried per ``policy`` instead of raising
-    :class:`~repro.core.parallel.CampaignWorkerCrash`, and a task that
-    exhausts every attempt (and every ``fallbacks`` rung, tried in the
+    Worker deaths, hangs and task exceptions are retried per ``policy``
+    (default: :class:`SupervisePolicy`, two retries, no timeout,
+    quarantine), and a task that exhausts every attempt (and every ``fallbacks`` rung, tried in the
     parent process) is yielded as a quarantined outcome — unless
     ``policy.on_failure == "raise"``, which raises
     :class:`QuarantinedTaskError`.

@@ -94,7 +94,7 @@ def configure_faults_parser(p: argparse.ArgumentParser) -> None:
 
 
 def _fault_run_task(opts: tuple, mid: int) -> dict:
-    """One fault-tolerant run (module-level so worker pools can pickle it)."""
+    """One fault-tolerant run (one task of the supervised fan-out)."""
     plan, cores, scale, iterations, budget = opts
     from ..core.experiment import SpMVExperiment
     from ..sparse.suite import build_matrix, entry_by_id
@@ -195,7 +195,6 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         # Heavy imports deferred so --list-plans / --repair stay snappy.
         from functools import partial
 
-        from ..core.parallel import parallel_map
         from ..core.report import banner, format_table
 
         try:
@@ -221,12 +220,15 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         opts = (plan, args.cores, args.scale, args.iterations, args.budget)
         task = partial(_fault_run_task, opts)
         policy = policy_from_args(args)
-        if policy is not None:
-            # Supervised path: crashed/hung runs are retried per policy;
+        if workers == 1 and policy is None:
+            rows = [task(mid) for mid in ids]
+        else:
+            # Supervised fan-out: crashed/hung runs are retried per policy;
             # 'serial'/'model' degrade to an in-parent rerun (fault runs
             # need the event-driven runtime, so there is no model rung).
-            from ..core.supervise import supervised_parallel_map
+            from ..core.supervise import SupervisePolicy, supervised_parallel_map
 
+            policy = policy or SupervisePolicy()
             fallbacks = (
                 [("serial", task)]
                 if policy.on_failure in ("serial", "model")
@@ -237,8 +239,6 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
                 identity=lambda mid: f"faults:{mid}",
                 fallbacks=fallbacks,
             )
-        else:
-            rows = parallel_map(task, ids, workers)
         all_verified = all(row["verified"] for row in rows)
         for row in rows:
             row["verified"] = "yes" if row["verified"] else "NO"

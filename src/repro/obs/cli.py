@@ -13,15 +13,12 @@ medians of warmed repeats so the snapshot reports overhead, not noise.
 The snapshot also benchmarks the *exact replay* engines — the scalar
 cache oracle against the set-parallel vectorized engine
 (:mod:`repro.scc.vecreplay`) on a Table-I-scale trace — and records the
-speedup plus a bitwise-equality check of their counts, and measures the
-supervised executor's overhead over the bare fork pool on the same
-sweep (the ``supervise_overhead`` entry).
+speedup plus a bitwise-equality check of their counts.
 ``bench gate`` re-measures the *simulated* throughput (deterministic,
 CI-stable) and fails when it regressed more than ``--max-regression``
 against a committed baseline snapshot, when the vectorized replay
 speedup falls below ``--min-replay-speedup`` (or stops matching the
-scalar oracle bit for bit), when supervision overhead exceeds
-``--max-supervise-overhead``, when the disabled-tracer path stops
+scalar oracle bit for bit), when the disabled-tracer path stops
 being near-free (``--max-tracer-overhead``), or when the predictor
 tier (``mode="predict"``, PR 10) loses its speed or accuracy edge:
 ``--min-predict-speedup`` bounds the wall-clock ratio of a fresh
@@ -277,16 +274,6 @@ def configure_bench_parser(p: argparse.ArgumentParser) -> None:
         "matching bitwise; 0 skips the check (default 25)",
     )
     p.add_argument(
-        "--max-supervise-overhead",
-        type=float,
-        default=0.5,
-        help="'gate' fails when the supervised executor's wall-clock "
-        "overhead over the bare pool exceeds this fraction; the bound "
-        "is deliberately loose (measured overhead is a few percent) "
-        "because the measurement is wall-clock; 0 skips the check "
-        "(default 0.5)",
-    )
-    p.add_argument(
         "--max-tracer-overhead",
         type=float,
         default=0.75,
@@ -357,14 +344,26 @@ def _time_run(args: argparse.Namespace, traced: bool) -> float:
 
 
 def _time_sweep(args: argparse.Namespace) -> float:
-    """Wall-clock seconds of a core-count sweep sharded over --workers."""
+    """Wall-clock seconds of a core-count sweep sharded over --workers.
+
+    ``--workers 1`` runs the tasks in-process; more workers fan them out
+    through the supervised executor under its default policy.
+    """
     from ..core.figures import run_suite_batch
-    from ..core.parallel import parallel_map
+    from ..core.supervise import supervised_parallel_map
 
     tasks = _sweep_tasks(args)
-    parallel_map(run_suite_batch, tasks, args.workers)  # warmup
+
+    def sweep() -> None:
+        if args.workers == 1:
+            for task in tasks:
+                run_suite_batch(task)
+        else:
+            supervised_parallel_map(run_suite_batch, tasks, args.workers)
+
+    sweep()  # warmup
     t0 = time.perf_counter()
-    parallel_map(run_suite_batch, tasks, args.workers)
+    sweep()
     return time.perf_counter() - t0
 
 
@@ -383,75 +382,6 @@ def _sweep_tasks(args: argparse.Namespace) -> list:
         (args.matrix_id, args.scale, name, [dict(spec, n_cores=n)])
         for n in BENCH_SWEEP_COUNTS
     ]
-
-
-def _measure_supervise(args: argparse.Namespace) -> dict:
-    """Supervised-vs-bare pool overhead (the ``supervise_overhead`` entry).
-
-    Runs the sweep task list through the bare ``parallel_map`` pool and
-    through :func:`~repro.core.supervise.supervised_parallel_map` under
-    the default policy.  No faults are injected, so every task succeeds
-    on attempt 1 and the wall-clock delta is pure supervision
-    machinery: per-worker pipes, deadline polling, backoff bookkeeping
-    and metrics accounting.  Both legs use at least two workers so each
-    exercises a real fork pool, and measurements come in adjacent
-    (bare, supervised) pairs with the fastest-bare pair kept — the same
-    drift defense the tracer-overhead measurement uses.  The supervise
-    counters of the final run ride along as evidence that nothing was
-    retried or respawned during timing.
-    """
-    from ..core.figures import run_suite_batch
-    from ..core.parallel import parallel_map
-    from ..core.supervise import SupervisePolicy, supervised_parallel_map
-    from .metrics import MetricsRegistry, summary_prefix
-
-    workers = max(2, args.workers)
-    tasks = _sweep_tasks(args)
-    policy = SupervisePolicy()
-
-    def identity(task: tuple) -> str:
-        return f"bench:{task[0]}:{task[3][0]['n_cores']}"
-
-    def bare() -> float:
-        t0 = time.perf_counter()
-        parallel_map(run_suite_batch, tasks, workers)
-        return time.perf_counter() - t0
-
-    def supervised(registry: MetricsRegistry) -> float:
-        t0 = time.perf_counter()
-        supervised_parallel_map(
-            run_suite_batch,
-            tasks,
-            workers,
-            policy,
-            identity=identity,
-            metrics=registry,
-        )
-        return time.perf_counter() - t0
-
-    bare()  # warmup: populate matrix/trace caches, untimed
-    supervised(MetricsRegistry())
-    pairs = []
-    for _ in range(3):
-        registry = MetricsRegistry()
-        pairs.append((bare(), supervised(registry), registry))
-    bare_s, supervised_s, registry = min(pairs, key=lambda p: p[0])
-    counters = {
-        key: int(value)
-        for key, value in summary_prefix(
-            registry.flat_summary(), "supervise"
-        ).items()
-        if isinstance(value, (int, float))
-    }
-    return {
-        "workers": workers,
-        "tasks": len(tasks),
-        "max_retries": policy.max_retries,
-        "wallclock_bare_s": bare_s,
-        "wallclock_supervised_s": supervised_s,
-        "overhead_pct": 100.0 * (supervised_s - bare_s) / bare_s,
-        "counters": counters,
-    }
 
 
 def _measure_replay(args: argparse.Namespace) -> dict:
@@ -584,7 +514,7 @@ def _measure_serve_dedup(args: argparse.Namespace) -> dict:
     """
     import tempfile
 
-    from ..core.parallel import fork_context
+    from ..core.supervise import fork_context
     from ..store import cache_enabled
 
     if fork_context() is None:  # pragma: no cover - platform-dependent
@@ -705,7 +635,6 @@ def _measure_snapshot(args: argparse.Namespace) -> dict:
         "tracer_overhead_pct": 100.0 * (traced_s - untraced_s) / untraced_s,
         "sweep_core_counts": list(BENCH_SWEEP_COUNTS),
         "sweep_wallclock_s": _time_sweep(args),
-        "supervise_overhead": _measure_supervise(args),
         "replay": _measure_replay(args),
         "machines": _measure_machines(args),
         "serve_dedup": _measure_serve_dedup(args),
@@ -740,11 +669,6 @@ def _run_gate(args: argparse.Namespace, out: Optional[TextIO]) -> int:
     replay_ok = args.min_replay_speedup <= 0 or (
         replay["bitwise_match"] and replay["speedup"] >= args.min_replay_speedup
     )
-    supervise = snapshot["supervise_overhead"]
-    supervise_ok = (
-        args.max_supervise_overhead <= 0
-        or supervise["overhead_pct"] <= 100.0 * args.max_supervise_overhead
-    )
     # Per-machine model throughput (deterministic, like model_mflops);
     # skipped for machines the committed baseline predates.
     base_machines = baseline.get("machines", {})
@@ -766,9 +690,9 @@ def _run_gate(args: argparse.Namespace, out: Optional[TextIO]) -> int:
         serve.get("repeat_simulations") == 0
         and serve.get("repeat_dedup_hits") == serve.get("points")
     )
-    # Tracer overhead: wall-clock like the supervise bound, so the
-    # threshold sits far above the measured figure — it trips on a
-    # reintroduced per-core metric hot loop, not on scheduler jitter.
+    # Tracer overhead: wall-clock, so the threshold sits far above the
+    # measured figure — it trips on a reintroduced per-core metric hot
+    # loop, not on scheduler jitter.
     tracer_ok = (
         args.max_tracer_overhead <= 0
         or snapshot["tracer_overhead_pct"] <= 100.0 * args.max_tracer_overhead
@@ -785,7 +709,6 @@ def _run_gate(args: argparse.Namespace, out: Optional[TextIO]) -> int:
     failed = (
         regression > args.max_regression
         or not replay_ok
-        or not supervise_ok
         or not machines_ok
         or not serve_ok
         or not tracer_ok
@@ -800,8 +723,6 @@ def _run_gate(args: argparse.Namespace, out: Optional[TextIO]) -> int:
         "replay_speedup": replay["speedup"],
         "min_replay_speedup": args.min_replay_speedup,
         "replay_bitwise_match": replay["bitwise_match"],
-        "supervise_overhead_pct": supervise["overhead_pct"],
-        "max_supervise_overhead_pct": 100.0 * args.max_supervise_overhead,
         "machine_regressions_pct": machine_regressions,
         "serve_dedup_ok": serve_ok,
         "serve_repeat_simulations": serve.get("repeat_simulations"),

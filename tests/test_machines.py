@@ -4,8 +4,7 @@ The ``repro.machine`` package puts every modeled many-core target
 behind one :class:`~repro.machine.base.MachineModel` interface.  These
 tests pin the three contracts that make the zoo trustworthy:
 
-* the **registry** is a stable public API (ids, suggestions on typos,
-  deprecated aliases still importable with a warning);
+* the **registry** is a stable public API (ids, suggestions on typos);
 * the **SCC** re-expressed as a machine is bitwise identical to the
   pre-zoo code path (the golden fixture tests cover campaign bytes;
   here we cover the experiment/figure layer);
@@ -79,31 +78,15 @@ class TestRegistry:
 
 
 class TestDeprecatedAliases:
-    def test_sccconfig_alias_warns_and_resolves(self):
-        import repro.core.experiment as experiment
-
-        with pytest.deprecated_call():
-            cls = experiment.SCCConfig
-        from repro.scc.chip import SCCConfig
-
-        assert cls is SCCConfig
-        with pytest.deprecated_call():
-            assert experiment.CONF0 is CONF0
-
-    def test_result_record_wrapper_warns(self):
-        from repro.core.campaign import result_record
-
-        exp = SpMVExperiment(build_matrix(24, scale=0.02))
-        result = exp.run(n_cores=1, mode="model", iterations=1)
-        with pytest.deprecated_call():
-            rec = result_record(result)
-        assert rec["mflops"] == result.mflops
+    """The SCC re-exports of ``repro.core.experiment`` were removed."""
 
     def test_unknown_attr_still_raises(self):
         import repro.core.experiment as experiment
 
         with pytest.raises(AttributeError):
             experiment.NoSuchThing
+        for removed in ("SCCConfig", "CONF0"):
+            assert not hasattr(experiment, removed)
 
 
 class TestSCCDriftFree:

@@ -1,33 +1,34 @@
 """The parallel execution contract: sharding never changes the answers.
 
-:mod:`repro.core.parallel` promises submission-order results, graceful
-serial fallback, and crash-then-resume with no duplicates and no gaps;
+Every ``workers > 1`` campaign runs under the supervised executor
+(:mod:`repro.core.supervise`), which promises submission-order results
+and retry-or-quarantine instead of an aborted sweep;
 :class:`~repro.core.campaign.Campaign` builds on that to make a
-``workers=N`` run bitwise-identical to the serial one.  These tests pin
-each promise, plus the metrics-merge algebra that makes parallel
-campaign aggregation exact.
+``workers=N`` run bitwise-identical to the serial one, even when a
+worker is killed mid-sweep.  These tests pin each promise, plus the
+metrics-merge algebra that makes parallel campaign aggregation exact.
 """
 
 from __future__ import annotations
 
 import json
-import os
+from functools import partial
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignPoint
-from repro.core.parallel import (
-    CRASH_ENV,
-    CampaignWorkerCrash,
+from repro.core import figures, supervise
+from repro.core.campaign import Campaign
+from repro.core.figures import fig5_data, suite_experiments
+from repro.core.supervise import (
+    CHAOS_ENV,
+    QuarantinedTaskError,
+    SupervisePolicy,
     available_parallelism,
     fork_context,
-    in_worker,
-    iter_ordered,
-    maybe_crash,
-    parallel_map,
+    supervised_iter_ordered,
+    supervised_parallel_map,
 )
-from repro.core.supervise import CHAOS_ENV, SupervisePolicy
-from repro.obs.metrics import merge_flat_summaries
+from repro.obs.metrics import MetricsRegistry, merge_flat_summaries
 
 pytestmark = pytest.mark.skipif(
     fork_context() is None, reason="requires the fork start method"
@@ -38,11 +39,6 @@ ITERATIONS = 2
 GRID = dict(ids=(24, 30), core_counts=(1, 4), configs=("conf0", "conf1"))
 
 
-def _square(x: int) -> int:
-    """Module-level so pool workers can pickle it."""
-    return x * x
-
-
 def _campaign(tmp_path, name, **kw):
     kw.setdefault("scale", SCALE)
     kw.setdefault("iterations", ITERATIONS)
@@ -50,63 +46,33 @@ def _campaign(tmp_path, name, **kw):
     return Campaign(name, tmp_path, **kw)
 
 
+def _square(x: int) -> int:
+    return x * x
+
+
 class TestPrimitives:
-    def test_parallel_map_preserves_submission_order(self):
-        items = list(range(12))
-        assert parallel_map(_square, items, workers=3) == [x * x for x in items]
+    """The rule every fan-out follows: the in-process loop at
+    ``workers=1``, the supervised executor otherwise — same answers."""
 
     def test_serial_and_parallel_agree(self):
         items = list(range(7))
-        assert parallel_map(_square, items, workers=1) == parallel_map(
+        assert [_square(x) for x in items] == supervised_parallel_map(
             _square, items, workers=4
         )
 
     def test_iter_ordered_yields_item_result_pairs(self):
-        pairs = list(iter_ordered(_square, [3, 1, 2], workers=2))
+        # Campaign.run persists each outcome under its item's key
+        pairs = [
+            (o.item, o.value)
+            for o in supervised_iter_ordered(_square, [3, 1, 2], workers=2)
+        ]
         assert pairs == [(3, 9), (1, 1), (2, 4)]
 
-    def test_iter_ordered_bounds_in_flight_submissions(self):
-        pulled = []
-
-        def gen():
-            for x in range(500):
-                pulled.append(x)
-                yield x
-
-        it = iter_ordered(_square, gen(), workers=2)
-        try:
-            item, result = next(it)
-            assert (item, result) == (0, 0)
-            # sliding window: ~window_factor * workers in flight, not 500
-            assert len(pulled) < 500
-            assert len(pulled) <= 2 + 4 * 2 + 1
-        finally:
-            it.close()
-
-    def test_iter_ordered_serial_path_stays_lazy(self):
-        pulled = []
-
-        def gen():
-            for x in range(100):
-                pulled.append(x)
-                yield x
-
-        it = iter_ordered(_square, gen(), workers=1)
-        next(it)
-        assert len(pulled) <= 3  # only the two-item peek plus one
-
     def test_fork_unavailable_degrades_to_serial(self, monkeypatch):
-        import repro.core.parallel as par
-
-        monkeypatch.setattr(par, "fork_context", lambda: None)
-        with pytest.warns(UserWarning, match="running serially"):
-            out = par.parallel_map(_square, [1, 2, 3], workers=4)
+        monkeypatch.setattr(supervise, "fork_context", lambda: None)
+        with pytest.warns(UserWarning, match="in-process"):
+            out = supervise.supervised_parallel_map(_square, [1, 2, 3], workers=4)
         assert out == [1, 4, 9]
-
-    def test_maybe_crash_is_inert_in_the_parent(self, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "some:task")
-        assert not in_worker()
-        maybe_crash("some:task")  # must NOT kill the test process
 
     def test_available_parallelism_positive(self):
         assert available_parallelism() >= 1
@@ -121,28 +87,55 @@ class TestCampaignParallel:
         assert par.run(points, workers=4) == (len(points), 0)
         assert par.path.read_bytes() == serial.path.read_bytes()
 
-    def test_crash_resume_no_duplicates_no_gaps(self, tmp_path, monkeypatch):
+    def test_killed_worker_retried_by_default(self, tmp_path, monkeypatch):
+        """No policy, workers=2: a one-shot kill heals to the serial bytes."""
         points = Campaign.grid(**GRID)
         serial = _campaign(tmp_path, "reference")
         serial.run(points)
 
-        crashy = _campaign(tmp_path, "crashy")
-        monkeypatch.setenv(CRASH_ENV, points[3].key())
-        with pytest.raises(CampaignWorkerCrash) as excinfo:
-            crashy.run(points, workers=2)
-        assert excinfo.value.done + excinfo.value.remaining == len(points)
-        assert excinfo.value.remaining > 0
-        # the completed prefix is durable and duplicate-free
-        prefix = crashy.completed_keys()
-        assert len(prefix) == excinfo.value.done
+        monkeypatch.setenv(
+            CHAOS_ENV,
+            json.dumps({points[3].key(): {"action": "kill", "attempts": [1]}}),
+        )
+        healed = _campaign(tmp_path, "healed")
+        assert healed.run(points, workers=2) == (len(points), 0)
+        assert healed.path.read_bytes() == serial.path.read_bytes()
+        assert healed.last_supervise["supervise.worker_crashes"] >= 1
 
-        monkeypatch.delenv(CRASH_ENV)
-        ran, skipped = crashy.run(points, workers=2)
-        assert ran == excinfo.value.remaining
-        assert skipped == excinfo.value.done
-        # no gaps, no duplicates, and the same bytes a serial run writes
-        assert crashy.completed_keys() == {pt.key() for pt in points}
-        assert crashy.path.read_bytes() == serial.path.read_bytes()
+    def test_poison_quarantined_resume_no_gaps(self, tmp_path, monkeypatch):
+        """No policy, workers=2: a point killed on every attempt is the
+        only quarantined record; a clean resume fills exactly that hole."""
+        points = Campaign.grid(**GRID)
+        serial = _campaign(tmp_path, "reference")
+        serial.run(points)
+
+        target = points[3]
+        monkeypatch.setenv(
+            CHAOS_ENV,
+            json.dumps({target.key(): {"action": "kill", "attempts": "all"}}),
+        )
+        crashy = _campaign(tmp_path, "crashy")
+        assert crashy.run(points, workers=2) == (len(points), 0)
+        assert crashy.status_counts() == {
+            "ok": len(points) - 1, "quarantined": 1,
+        }
+        assert crashy.completed_keys() == {pt.key() for pt in points} - {
+            target.key()
+        }
+
+        monkeypatch.delenv(CHAOS_ENV)
+        assert crashy.run(points, workers=2) == (1, len(points) - 1)
+        # no gaps, no duplicates: one result line per point, each
+        # byte-identical to the serial run's line for that point
+        results = [
+            line
+            for line in crashy.path.read_text().splitlines()
+            if json.loads(line).get("status") != "quarantined"
+        ]
+        assert sorted(json.loads(line)["_key"] for line in results) == sorted(
+            pt.key() for pt in points
+        )
+        assert sorted(results) == sorted(serial.path.read_text().splitlines())
 
     def test_duplicate_points_count_as_skipped(self, tmp_path):
         points = Campaign.grid(**GRID)
@@ -271,6 +264,40 @@ class TestSupervisedCampaign:
         assert c.last_supervise["supervise.fallbacks"] == 1
 
 
+class TestFigureSweepParallel:
+    """``fig5_data(workers=2)`` with no policy runs supervised."""
+
+    @staticmethod
+    def _kill(monkeypatch, exps, attempts):
+        mid, exp = exps[0]
+        identity = f"suite:{mid}:{SCALE}:{exp.name}"
+        monkeypatch.setenv(
+            CHAOS_ENV, json.dumps({identity: {"action": "kill", "attempts": attempts}})
+        )
+
+    def test_one_shot_kill_heals_to_serial_output(self, monkeypatch):
+        exps = suite_experiments(scale=SCALE, ids=[24, 30])
+        serial = fig5_data(exps, iterations=ITERATIONS, core_counts=(1, 4))
+        # observe the sweep's supervise.* counters: the kill must happen
+        registry = MetricsRegistry()
+        monkeypatch.setattr(
+            figures,
+            "supervised_parallel_map",
+            partial(supervise.supervised_parallel_map, metrics=registry),
+        )
+        self._kill(monkeypatch, exps, [1])
+        assert fig5_data(
+            exps, iterations=ITERATIONS, core_counts=(1, 4), workers=2
+        ) == serial
+        assert registry.flat_summary()["supervise.worker_crashes"] == 1
+
+    def test_persistent_kill_raises_instead_of_averaging_a_hole(self, monkeypatch):
+        exps = suite_experiments(scale=SCALE, ids=[24, 30])
+        self._kill(monkeypatch, exps, "all")
+        with pytest.raises(QuarantinedTaskError):
+            fig5_data(exps, iterations=ITERATIONS, core_counts=(1, 4), workers=2)
+
+
 class TestMergeFlatSummaries:
     def test_counters_sum_as_totals(self):
         merged = merge_flat_summaries([{"msgs": 2.0}, {"msgs": 3.0, "drops": 1.0}])
@@ -299,9 +326,3 @@ class TestMergeFlatSummaries:
         left = merge_flat_summaries([merge_flat_summaries(parts[:2]), parts[2]])
         right = merge_flat_summaries([parts[0], merge_flat_summaries(parts[1:])])
         assert serial == left == right
-
-
-def test_crash_env_documented_name():
-    """The test hook's env var is part of the public resume contract."""
-    assert CRASH_ENV == "REPRO_FAULT_WORKER_CRASH"
-    assert os.environ.get(CRASH_ENV) is None
