@@ -9,10 +9,12 @@ locality (Xiang et al., "HOTL", ASPLOS'13):
 
 1. compute the **reuse time** of every access (distance in accesses
    since the previous touch of the same cache line) — vectorized with
-   one ``argsort``;
+   one stable argsort (a radix sort when the line ids span fewer than
+   2**16 values), from which reuse, first and last times all follow;
 2. convert the reuse-time histogram into the **average footprint**
    ``fp(w)`` — the mean number of distinct lines touched in any window
-   of ``w`` consecutive accesses — via Xiang's O(N) formula;
+   of ``w`` consecutive accesses — via Xiang's O(N) formula, summed
+   once over one exact integer histogram;
 3. predict a capacity-``C`` LRU cache miss for every access whose reuse
    window has footprint larger than ``C`` lines.
 
@@ -50,6 +52,25 @@ def lines_of_addresses(addrs: np.ndarray, line_bytes: int = CACHE_LINE_BYTES) ->
     return np.asarray(addrs, dtype=np.int64) // line_bytes
 
 
+def _grouped(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group a non-empty stream by line id, stable in time order.
+
+    Returns ``(order, start)``: ``order`` is the stable argsort of
+    ``lines`` and ``start[k]`` marks the ``order`` positions that begin
+    a new line's group.  If the id span fits 16 bits the sort runs on
+    ``uint16`` offsets from the minimum, which NumPy radix-sorts; wider
+    spans use the int64 stable sort.  A stable sort's permutation is
+    unique, so both agree.
+    """
+    lo = int(lines.min())
+    if int(lines.max()) - lo < 1 << 16:
+        order = np.argsort((lines - lo).astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(lines, kind="stable")
+    sorted_lines = lines[order]
+    return order, np.concatenate(([True], sorted_lines[1:] != sorted_lines[:-1]))
+
+
 def reuse_times(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access reuse times of a line-id stream.
 
@@ -65,18 +86,12 @@ def reuse_times(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     first = np.zeros(n, dtype=bool)
     if n == 0:
         return rt, first
-    # Group accesses by line id, stable in time order.
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_lines[1:] != sorted_lines[:-1]
-    first[order] = boundary
+    order, start = _grouped(lines)
+    first[order] = start
     # Within each group, consecutive entries are consecutive touches.
-    same = ~boundary[1:]
-    cur = order[1:][same]
-    prev = order[:-1][same]
-    rt[cur] = cur - prev
+    gap = np.diff(order)
+    gap[start[1:]] = 0
+    rt[order[1:]] = gap
     return rt, first
 
 
@@ -102,24 +117,14 @@ def reuse_profile(lines: np.ndarray) -> ReuseProfile:
     n = lines.size
     if n == 0:
         return ReuseProfile(0, 0, np.zeros(1, dtype=np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-    rt, first = reuse_times(lines)
-    hist = np.bincount(rt[~first], minlength=n + 1).astype(np.int64)
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_lines[1:] != sorted_lines[:-1]
-    firsts = order[boundary] + 1                      # 1-based
-    last_boundary = np.empty(n, dtype=bool)
-    last_boundary[-1] = True
-    last_boundary[:-1] = sorted_lines[1:] != sorted_lines[:-1]
-    lasts = order[last_boundary] + 1                  # 1-based
+    order, start = _grouped(lines)
+    reuse = np.diff(order)[~start[1:]]
     return ReuseProfile(
         n_accesses=n,
-        n_lines=int(boundary.sum()),
-        reuse_hist=hist,
-        first_times=firsts,
-        last_times=lasts,
+        n_lines=int(start.sum()),
+        reuse_hist=np.bincount(reuse, minlength=n + 1).astype(np.int64, copy=False),
+        first_times=order[start] + 1,                 # 1-based
+        last_times=order[np.roll(start, -1)] + 1,     # 1-based; a group ends where the next starts
     )
 
 
@@ -152,36 +157,26 @@ def footprint_curve(profile: ReuseProfile) -> FootprintCurve:
                      + sum_k max(r_k - w, 0) ) / (n - w + 1)
 
     where ``f_k`` is the first-access time of line k and
-    ``r_k = n + 1 - last_k`` its reverse last-access time.  The three
-    sums over all w are evaluated with reversed cumulative sums of the
-    respective histograms.
+    ``r_k = n + 1 - last_k`` its reverse last-access time.  All three
+    sums have the form ``sum_{t>w} (t-w) * h[t]``, so their histograms
+    add into one int64 ``h`` and a single pair of suffix sums gives the
+    whole deficit in exact integers.  Only the division is in float64,
+    so the result is bitwise that of summing each term in float64 while
+    the sums stay below 2**53 (streams shorter than ~5e7 accesses).
     """
     n, m = profile.n_accesses, profile.n_lines
-    values = np.zeros(n + 1, dtype=np.float64)
     if n == 0:
-        return FootprintCurve(0, 0, values)
-
-    def deficit(hist_vals: np.ndarray) -> np.ndarray:
-        """For each w in 0..n: sum_{t>w} (t - w) * hist[t]."""
-        h = np.zeros(n + 1, dtype=np.float64)
-        idx = np.minimum(np.arange(hist_vals.size), n)
-        np.add.at(h, idx, hist_vals)
-        t = np.arange(n + 1, dtype=np.float64)
-        count_gt = np.concatenate([np.cumsum(h[::-1])[::-1][1:], [0.0]])
-        weight_gt = np.concatenate([np.cumsum((h * t)[::-1])[::-1][1:], [0.0]])
-        w = np.arange(n + 1, dtype=np.float64)
-        return weight_gt - w * count_gt
-
-    rt_deficit = deficit(profile.reuse_hist)
-    f_hist = np.bincount(profile.first_times, minlength=n + 1).astype(np.float64)
-    r_times = n + 1 - profile.last_times
-    r_hist = np.bincount(r_times, minlength=n + 1).astype(np.float64)
-    f_deficit = deficit(f_hist)
-    r_deficit = deficit(r_hist)
-
-    w = np.arange(n + 1, dtype=np.float64)
-    denom = n - w + 1.0
-    fp = m - (rt_deficit + f_deficit + r_deficit) / denom
+        return FootprintCurve(0, 0, np.zeros(1, dtype=np.float64))
+    h = (
+        profile.reuse_hist
+        + np.bincount(profile.first_times, minlength=n + 1)
+        + np.bincount(n + 1 - profile.last_times, minlength=n + 1)
+    )
+    t = np.arange(n + 1, dtype=np.int64)
+    th = t * h
+    count_gt = np.cumsum(h[::-1])[::-1] - h           # sum_{s>t} h[s]
+    weight_gt = np.cumsum(th[::-1])[::-1] - th        # sum_{s>t} s * h[s]
+    fp = m - (weight_gt - t * count_gt) / (n + 1 - t)
     fp[0] = 0.0
     # Guard numerical noise: fp must be within [0, m] and non-decreasing.
     fp = np.clip(fp, 0.0, float(m))
@@ -203,11 +198,9 @@ class MissRatioCurve:
         if self.profile.n_accesses == 0:
             return 0
         w_star = self.footprint.window_for_capacity(capacity_lines)
-        hist = self.profile.reuse_hist
         # Accesses with reuse time > w_star miss; rt==0 bucket holds colds
         # only implicitly (cold accesses are excluded from the histogram).
-        reuse_misses = int(hist[min(w_star, hist.size - 1) + 1 :].sum()) if w_star + 1 < hist.size else 0
-        return self.profile.cold_misses + reuse_misses
+        return self.profile.cold_misses + int(self.profile.reuse_hist[w_star + 1 :].sum())
 
     def miss_ratio(self, capacity_lines: float) -> float:
         """Predicted misses divided by total accesses."""

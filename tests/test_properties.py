@@ -47,6 +47,20 @@ line_streams = hnp.arrays(
 )
 
 
+@st.composite
+def wide_line_streams(draw):
+    """Streams over a few lines drawn from anywhere in a 2**62 range, so
+    spans on both sides of the 2**16 radix-sort cutoff occur."""
+    bound = draw(st.sampled_from([1 << 8, 1 << 20, 1 << 40, 1 << 62]))
+    pool = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=300))
+    return np.array(pool, dtype=np.int64)[picks]
+
+
+any_line_streams = st.one_of(line_streams, wide_line_streams())
+capacities = st.one_of(st.integers(0, 64), st.floats(0.0, 1e12))
+
+
 # --- sparse properties ---------------------------------------------------------
 
 class TestSparseProperties:
@@ -108,7 +122,7 @@ class TestSparseProperties:
 
 class TestLocalityProperties:
     @SET
-    @given(line_streams)
+    @given(any_line_streams)
     def test_reuse_times_consistency(self, lines):
         rt, first = reuse_times(lines)
         assert first.sum() == len(set(lines.tolist()))
@@ -117,7 +131,7 @@ class TestLocalityProperties:
             assert 1 <= rt[i] <= i
 
     @SET
-    @given(line_streams)
+    @given(any_line_streams)
     def test_footprint_monotone_and_bounded(self, lines):
         fp = footprint_curve(reuse_profile(lines))
         assert fp.values[0] == 0.0
@@ -125,27 +139,28 @@ class TestLocalityProperties:
         assert fp.values[-1] == pytest.approx(len(set(lines.tolist())))
 
     @SET
-    @given(line_streams)
+    @given(any_line_streams)
     def test_footprint_of_full_window_is_distinct_count(self, lines):
         fp = footprint_curve(reuse_profile(lines))
         assert fp(len(lines)) == pytest.approx(len(set(lines.tolist())))
 
     @SET
-    @given(line_streams, st.integers(1, 64))
+    @given(any_line_streams, capacities)
     def test_miss_count_between_cold_and_total(self, lines, capacity):
         mrc = miss_ratio_curve(lines)
-        misses = mrc.misses(capacity)
-        assert mrc.profile.cold_misses <= misses <= len(lines)
+        n, cold = len(lines), len(set(lines.tolist()))
+        assert cold <= mrc.misses(capacity) <= n
+        assert mrc.misses(0) == n
+        assert mrc.misses(float("inf")) == cold
 
     @SET
-    @given(line_streams)
-    def test_mrc_monotone_in_capacity(self, lines):
+    @given(any_line_streams, st.lists(capacities, max_size=12))
+    def test_mrc_monotone_in_capacity(self, lines, caps):
         mrc = miss_ratio_curve(lines)
-        last = None
-        for cap in (1, 2, 4, 8, 16, 32, 64):
+        last = len(lines)
+        for cap in sorted([*caps, 1, 2, 4, 8, 16, 32, 64]):
             m = mrc.misses(cap)
-            if last is not None:
-                assert m <= last
+            assert m <= last
             last = m
 
 

@@ -18,6 +18,7 @@ from repro.scc import (
     reuse_profile,
     reuse_times,
 )
+from repro.scc.locality import ReuseProfile
 
 
 def brute_force_footprint(lines: np.ndarray, w: int) -> float:
@@ -40,6 +41,127 @@ def exact_lru_misses(lines: np.ndarray, capacity: int) -> int:
                 stack.pop()
         stack.insert(0, line)
     return misses
+
+
+def oracle_reuse_times(lines: np.ndarray):
+    """Reference reuse times: one int64 stable argsort per call."""
+    lines = np.asarray(lines, dtype=np.int64).ravel()
+    n = lines.size
+    rt = np.zeros(n, dtype=np.int64)
+    first = np.zeros(n, dtype=bool)
+    if n == 0:
+        return rt, first
+    order = np.argsort(lines, kind="stable")
+    sorted_lines = lines[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = sorted_lines[1:] != sorted_lines[:-1]
+    first[order] = boundary
+    same = ~boundary[1:]
+    cur = order[1:][same]
+    prev = order[:-1][same]
+    rt[cur] = cur - prev
+    return rt, first
+
+
+def oracle_reuse_profile(lines: np.ndarray) -> ReuseProfile:
+    """Reference profile: the stream is argsorted twice, once inside
+    :func:`oracle_reuse_times` and once here for first/last times."""
+    lines = np.asarray(lines, dtype=np.int64).ravel()
+    n = lines.size
+    rt, first = oracle_reuse_times(lines)
+    hist = np.bincount(rt[~first], minlength=n + 1).astype(np.int64)
+    order = np.argsort(lines, kind="stable")
+    sorted_lines = lines[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = sorted_lines[1:] != sorted_lines[:-1]
+    last_boundary = np.empty(n, dtype=bool)
+    last_boundary[-1] = True
+    last_boundary[:-1] = sorted_lines[1:] != sorted_lines[:-1]
+    return ReuseProfile(n, int(boundary.sum()), hist, order[boundary] + 1, order[last_boundary] + 1)
+
+
+def oracle_footprint(profile: ReuseProfile) -> np.ndarray:
+    """Reference fp(w): three float64 deficits, each via ``np.add.at``."""
+    n, m = profile.n_accesses, profile.n_lines
+
+    def deficit(hist_vals: np.ndarray) -> np.ndarray:
+        h = np.zeros(n + 1, dtype=np.float64)
+        idx = np.minimum(np.arange(hist_vals.size), n)
+        np.add.at(h, idx, hist_vals)
+        t = np.arange(n + 1, dtype=np.float64)
+        count_gt = np.concatenate([np.cumsum(h[::-1])[::-1][1:], [0.0]])
+        weight_gt = np.concatenate([np.cumsum((h * t)[::-1])[::-1][1:], [0.0]])
+        return weight_gt - t * count_gt
+
+    f_hist = np.bincount(profile.first_times, minlength=n + 1).astype(np.float64)
+    r_hist = np.bincount(n + 1 - profile.last_times, minlength=n + 1).astype(np.float64)
+    w = np.arange(n + 1, dtype=np.float64)
+    fp = m - (deficit(profile.reuse_hist) + deficit(f_hist) + deficit(r_hist)) / (n - w + 1.0)
+    fp[0] = 0.0
+    fp = np.clip(fp, 0.0, float(m))
+    return np.maximum.accumulate(fp)
+
+
+def oracle_misses(profile: ReuseProfile, fp: np.ndarray, capacity: float) -> int:
+    """Reference miss count, with the explicit out-of-range guard."""
+    if capacity <= 0:
+        return profile.n_accesses
+    w_star = max(int(np.searchsorted(fp, capacity, side="right")) - 1, 0)
+    hist = profile.reuse_hist
+    reuse = int(hist[min(w_star, hist.size - 1) + 1 :].sum()) if w_star + 1 < hist.size else 0
+    return profile.n_lines + reuse
+
+
+def _oracle_streams() -> dict:
+    rng = np.random.default_rng(20120521)
+    return {
+        "length-1": np.array([42]),
+        "all-equal": np.full(257, 9),
+        "sorted": np.arange(0, 3000, 3),
+        "reversed": np.arange(3000, 0, -3),
+        "negative": rng.integers(-500, -1, size=2000),
+        "span<2^16": rng.integers(100, 100 + (1 << 16) - 1, size=4000),
+        "span=2^16-1": np.array([7, 7 + (1 << 16) - 1, 7, 8]),
+        "span=2^16": np.array([0, 1 << 16, 0, 1 << 16]),
+        "span<2^32": rng.integers(-(1 << 20), 1 << 31, size=4000) // 64,
+        "span>=2^32": rng.choice(rng.integers(-(1 << 50), 1 << 50, size=300), size=3000),
+        "span-int64-extremes": np.array([-(1 << 62), 1 << 62, -(1 << 62), 0, 1 << 62]),
+    }
+
+
+ORACLE_STREAMS = _oracle_streams()
+
+
+class TestAgainstOracle:
+    """The one-sort, one-histogram kernel is bitwise equal to the
+    reference that sorts twice and sums three float deficits."""
+
+    @pytest.mark.parametrize("lines", ORACLE_STREAMS.values(), ids=ORACLE_STREAMS.keys())
+    def test_bitwise_equal(self, lines):
+        got, want = reuse_profile(lines), oracle_reuse_profile(lines)
+        assert (got.n_accesses, got.n_lines) == (want.n_accesses, want.n_lines)
+        for field in ("reuse_hist", "first_times", "last_times"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        fp = footprint_curve(got)
+        fp_want = oracle_footprint(want)
+        assert fp.values.dtype == fp_want.dtype and fp.values.tobytes() == fp_want.tobytes()
+        for a, b in zip(reuse_times(lines), oracle_reuse_times(lines)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        mrc = miss_ratio_curve(lines)
+        for capacity in (0, 1, 7.5, 64, 1e9):
+            assert mrc.misses(capacity) == oracle_misses(want, fp_want, capacity)
+
+    def test_random_streams_bitwise_equal(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 1500))
+            stride = int(rng.choice([1, 3, 1 << 12, 1 << 24, 1 << 40]))
+            lines = rng.integers(-200, 200, size=n) * stride
+            fp = footprint_curve(reuse_profile(lines)).values
+            assert fp.tobytes() == oracle_footprint(oracle_reuse_profile(lines)).tobytes()
 
 
 class TestReuseTimes:
