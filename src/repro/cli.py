@@ -70,7 +70,7 @@ ARTIFACTS = ("table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 #: every first-class subcommand of the unified parser.
 COMMANDS = (
     "run", "lint", "check", "analyze", "faults", "chaos", "trace", "bench",
-    "serve", "submit", "status", "result", "predict",
+    "serve", "submit", "status", "result",
 )
 
 #: subcommands implemented by repro.analysis.cli (kept for callers that
@@ -128,12 +128,10 @@ def _configure_run_parser(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--mode",
-        choices=("sim", "model", "exact-trace", "predict"),
+        choices=("sim", "model", "exact-trace"),
         default=None,
         help="answer tier for every sweep point (default: model, or sim "
-        "with --exact); 'predict' answers from the machine's trained "
-        "predictor and falls back to the model when none is stored "
-        "(see docs/PREDICTOR.md)",
+        "with --exact)",
     )
     p.add_argument(
         "--validate-exact",
@@ -248,16 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     configure_result_parser(result_p)
     result_p.set_defaults(handler=_dispatch_result)
-
-    from .predict.cli import configure_predict_parser
-
-    predict_p = sub.add_parser(
-        "predict",
-        help="train/evaluate/inspect the feature-based performance "
-        "predictor behind mode='predict' (see docs/PREDICTOR.md)",
-    )
-    configure_predict_parser(predict_p)
-    predict_p.set_defaults(handler=_dispatch_predict)
 
     return p
 
@@ -643,12 +631,6 @@ def _dispatch_result(args, out=None) -> int:
     from .serve.cli import run_result
 
     return run_result(args, out=out)
-
-
-def _dispatch_predict(args, out=None) -> int:
-    from .predict.cli import run_predict
-
-    return run_predict(args, out=out)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:

@@ -50,8 +50,9 @@ from ..machine.registry import get_machine
 from ..obs.metrics import MetricsRegistry
 from ..rcce.errors import RCCEBudgetExceededError, RCCEError
 from ..sim import ProcessFailure, SimulationError
-from ..sparse.suite import build_matrix, entry_by_id
-from .experiment import DEFAULT_ITERATIONS, MODES, SpMVExperiment
+from ..sparse.suite import entry_by_id
+from .experiment import DEFAULT_ITERATIONS, MODES
+from .figures import suite_experiment
 from .supervise import SupervisePolicy, TaskOutcome, supervised_iter_ordered
 
 __all__ = [
@@ -168,24 +169,15 @@ def validate_points(
     return validated
 
 
-def run_campaign_point(
-    pt: CampaignPoint,
-    ctx: CampaignContext,
-    cache: Dict[Tuple[int, float, str], SpMVExperiment],
-) -> dict:
+def run_campaign_point(pt: CampaignPoint, ctx: CampaignContext) -> dict:
     """Execute one grid point, mapping failures to structured records.
 
-    Pure in ``(pt, ctx)`` — the ``cache`` only memoizes matrix builds
-    within one process — so serial and parallel execution produce
-    bitwise-identical records.
+    Pure in ``(pt, ctx)`` — :func:`~repro.core.figures.suite_experiment`
+    only memoizes experiments within one process — so serial and
+    parallel execution produce bitwise-identical records.
     """
     machine_id = pt.machine or ctx.machine
-    exp = cache.get((pt.mid, ctx.scale, machine_id))
-    if exp is None:
-        entry = entry_by_id(pt.mid)
-        exp = cache[(pt.mid, ctx.scale, machine_id)] = SpMVExperiment(
-            build_matrix(pt.mid, scale=ctx.scale), name=entry.name, machine=machine_id
-        )
+    exp = suite_experiment(pt.mid, ctx.scale, machine_id)
     presets = exp.machine.presets
     tracer = None
     if ctx.collect_metrics:
@@ -237,15 +229,10 @@ def run_campaign_point(
         }
 
 
-#: per-worker-process experiment memo for :func:`_supervised_point_task`
-#: (inherited empty at fork, filled as the worker sees matrices).
-_WORKER_EXPERIMENTS: Dict[Tuple[int, float, str], SpMVExperiment] = {}
-
-
 def _supervised_point_task(ctx: CampaignContext, pt: CampaignPoint) -> dict:
-    """Pool-worker task: one point against the per-process memo (the
-    supervisor itself applies the chaos hook per attempt)."""
-    return run_campaign_point(pt, ctx, _WORKER_EXPERIMENTS)
+    """Pool-worker task: one point (the supervisor itself applies the
+    chaos hook per attempt)."""
+    return run_campaign_point(pt, ctx)
 
 
 def _point_identity(pt: CampaignPoint) -> str:
@@ -337,7 +324,6 @@ class Campaign:
         #: the analytic fast path (``model``, same numbers to the
         #: tolerance in ``docs/PERFORMANCE.md``).
         self.mode = mode
-        self._experiments: Dict[Tuple[int, float, str], SpMVExperiment] = {}
 
     # -- persistence ----------------------------------------------------
 
@@ -478,12 +464,12 @@ class Campaign:
         ladder: List[Tuple[str, Callable[[CampaignPoint], dict]]] = []
         if policy.on_failure in ("serial", "model"):
             ladder.append(
-                ("serial", lambda pt: run_campaign_point(pt, ctx, self._experiments))
+                ("serial", lambda pt: run_campaign_point(pt, ctx))
             )
         if policy.on_failure == "model" and ctx.mode != "model":
             model_ctx = dataclasses.replace(ctx, mode="model", fault_plan=None)
             ladder.append(
-                ("model", lambda pt: run_campaign_point(pt, model_ctx, self._experiments))
+                ("model", lambda pt: run_campaign_point(pt, model_ctx))
             )
         return ladder
 
@@ -538,7 +524,7 @@ class Campaign:
             outcomes: Iterable[TaskOutcome] = (
                 TaskOutcome(
                     pt, pt.key(), ok=True, attempts=1,
-                    value=run_campaign_point(pt, ctx, self._experiments),
+                    value=run_campaign_point(pt, ctx),
                 )
                 for pt in pending
             )

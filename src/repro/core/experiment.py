@@ -76,10 +76,8 @@ KERNELS = ("csr", "no_x_miss")
 #: ``exact-trace`` replaces the analytic cache characterization with
 #: trace-exact per-UE hit/miss counts from the vectorized replay engine
 #: (:mod:`repro.scc.vecreplay`) — the validation path, now viable at
-#: full Table-I scale; ``predict`` answers from a trained feature-based
-#: regressor (:mod:`repro.predict`) in microseconds, falling back to
-#: ``model`` when no artifact is available.
-MODES = ("sim", "model", "exact-trace", "predict")
+#: full Table-I scale.
+MODES = ("sim", "model", "exact-trace")
 
 
 class ResultBase:
@@ -159,9 +157,6 @@ class ExperimentResult(ResultBase):
     y: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: machine the run was modeled on (registry id).
     machine: str = DEFAULT_MACHINE
-    #: True when the makespan came from the feature-based predictor
-    #: (``mode="predict"``), not from the timing composition.
-    predicted: bool = False
 
     @property
     def mflops_per_watt(self) -> float:
@@ -175,11 +170,9 @@ class ExperimentResult(ResultBase):
         rec["ws_per_core_bytes"] = self.ws_per_core_bytes
         # Records stay byte-identical to the pre-zoo format on the
         # default machine (the golden campaign fixture contract);
-        # machine and predicted markers appear only off the default path.
+        # the machine marker appears only off the default machine.
         if self.machine != DEFAULT_MACHINE:
             rec["machine"] = self.machine
-        if self.predicted:
-            rec["predicted"] = True
         return rec
 
 
@@ -466,13 +459,8 @@ class SpMVExperiment:
         self._batch_cache: Dict[int, BatchedTraces] = {}
         self._summary_cache: Dict[Tuple, Any] = {}
         self._ws_cache: Dict[int, float] = {}
-        #: mode="predict" feature caches: the matrix-level extraction
-        #: (one O(nnz) pass, machine-independent) and the O(n_parts)
-        #: partition reductions per core count.
-        self._matrix_features: Optional[Any] = None
-        self._partition_features_cache: Dict[int, Any] = {}
 
-    #: set by :func:`repro.core.figures.suite_experiments` to the
+    #: set by :func:`repro.core.figures.suite_experiment` to the
     #: ``(matrix_id, scale)`` (plus the machine id for non-default
     #: machines) that rebuilds this experiment's matrix — worker
     #: processes reconstruct from this instead of pickling CSR data.
@@ -644,36 +632,6 @@ class SpMVExperiment:
             sched = cache[key] = resolve_barrier_schedule(core_map, mesh)
         return sched
 
-    # -- mode="predict" features -------------------------------------------
-
-    def point_feature_vector(
-        self,
-        n_cores: int,
-        core_map: List[int],
-        config: MachineConfig,
-        kernel: str,
-        iterations: int,
-    ) -> np.ndarray:
-        """The full predictor feature vector of one campaign point.
-
-        This is the *only* extraction path — training
-        (:mod:`repro.predict.dataset`) and serving (``mode="predict"``)
-        both come through here, so the two can never skew.  The O(nnz)
-        matrix pass runs once per experiment, the O(n_parts) partition
-        reduction once per core count; per-point assembly is O(n_cores).
-        """
-        from ..sparse.features import matrix_features, partition_features, point_features
-
-        mf = self._matrix_features
-        if mf is None:
-            mf = self._matrix_features = matrix_features(self.a)
-        pf = self._partition_features_cache.get(n_cores)
-        if pf is None:
-            pf = self._partition_features_cache[n_cores] = partition_features(
-                self.a, self.partition(n_cores), mf
-            )
-        return point_features(mf, pf, self.machine, config, core_map, kernel, iterations)
-
     # -- the runner ---------------------------------------------------------
 
     def run(
@@ -745,33 +703,21 @@ class SpMVExperiment:
                     f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
                 )
 
-        predicted = False
         if mode == "sim":
             makespan, timings, y = self._time_sim(
                 n_cores, core_map, config, kernel, iterations, verify, x,
                 time_budget, tracer,
             )
         else:
-            makespan = None
-            if mode == "predict":
-                makespan = self._predict_makespan(
-                    n_cores, core_map, config, kernel, iterations, time_budget
-                )
-            if makespan is None:  # model, exact-trace, or predict fallback
-                makespan, timings = self._time_analytic(
-                    n_cores, core_map, config, kernel, iterations, time_budget,
-                    tracer, exact=(mode == "exact-trace"),
-                )
-            else:
-                timings, predicted = [], True
+            makespan, timings = self._time_analytic(
+                n_cores, core_map, config, kernel, iterations, time_budget,
+                tracer, exact=(mode == "exact-trace"),
+            )
             # The numeric result never came from the timing path —
             # compute it directly, outside anything a caller would time.
             y = self._direct_y(n_cores, kernel, x) if verify else None
         if tracer:
-            if predicted:
-                tracer.metrics.counter("predict.answers").inc()
-            else:
-                self._emit_core_metrics(tracer, timings)
+            self._emit_core_metrics(tracer, timings)
 
         return ExperimentResult(
             matrix_name=self.name,
@@ -788,7 +734,6 @@ class SpMVExperiment:
             ws_per_core_bytes=self._ws_per_core(n_cores),
             y=y,
             machine=self.machine.machine_id,
-            predicted=predicted,
         )
 
     def _direct_y(
@@ -920,38 +865,6 @@ class SpMVExperiment:
         m.histogram_observe_many(
             "model.mem_stall_fraction", [t.mem_stall_fraction for t in timings]
         )
-
-    def _predict_makespan(
-        self,
-        n_cores: int,
-        core_map: List[int],
-        config: MachineConfig,
-        kernel: str,
-        iterations: int,
-        time_budget: Optional[float],
-    ) -> Optional[float]:
-        """The microsecond tier: the trained regressor's makespan.
-
-        No cache characterization, no contention solve, no barrier
-        recurrence — just the cached structural features of this
-        (matrix, partition, mapping) point pushed through the machine's
-        trained :class:`~repro.predict.regressor.PerfRegressor`.  Returns
-        None when no usable artifact exists
-        (:func:`~repro.predict.artifact.get_predictor` warns once per
-        machine): :meth:`run` then falls back to ``mode="model"`` and the
-        result carries ``predicted=False``, so callers can tell which
-        tier actually answered.
-        """
-        from ..predict.artifact import get_predictor
-
-        predictor = get_predictor(self.machine)
-        if predictor is None:
-            return None
-        feats = self.point_feature_vector(n_cores, core_map, config, kernel, iterations)
-        makespan = predictor.predict_makespan(feats, self.a.nnz, iterations)
-        if time_budget is not None and makespan > time_budget:
-            raise RCCEBudgetExceededError(time_budget, list(range(n_cores)), time_budget)
-        return makespan
 
     def run_fault_tolerant(
         self,

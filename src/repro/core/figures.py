@@ -20,13 +20,14 @@ worker processes under the supervised executor
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..machine.base import DEFAULT_MACHINE, MachineConfig
 from ..machine.registry import get_machine
 from ..sparse.stats import working_set_mbytes
-from ..sparse.suite import SUITE, build_matrix
+from ..sparse.suite import SUITE, build_matrix, entry_by_id
 from .comparison import comparison_table
 from .experiment import DEFAULT_ITERATIONS, ExperimentResult, SpMVExperiment
 from .mapping import single_core_at_distance
@@ -34,6 +35,7 @@ from .metrics import average_gflops, average_mflops_per_watt
 from .supervise import SupervisePolicy, supervised_parallel_map
 
 __all__ = [
+    "suite_experiment",
     "suite_experiments",
     "run_suite_batch",
     "table1_data",
@@ -64,52 +66,56 @@ FIG9_CORE_COUNTS = [8, 16, 24, 32, 48]
 Experiments = Sequence[Tuple[int, SpMVExperiment]]
 
 
+@functools.lru_cache(maxsize=len(SUITE))
+def suite_experiment(mid: int, scale: float, machine: str, /) -> SpMVExperiment:
+    """The experiment of one Table I matrix at one scale on one machine.
+
+    The package's one experiment memo: figure sweeps, campaign points
+    and served points all come through here, in the parent process and
+    in every forked worker.  It holds one whole suite on one machine at
+    one scale; a long-lived server that sees many scales evicts the
+    least recently used experiment instead of growing without bound.
+    ``machine`` is a registry id.  The experiment carries its
+    ``suite_ref`` — ``(matrix id, scale)``, plus the machine id off the
+    default machine — so worker processes can rebuild it for parallel
+    sweeps.
+    """
+    exp = SpMVExperiment(
+        build_matrix(mid, scale=scale), name=entry_by_id(mid).name, machine=machine
+    )
+    exp.suite_ref = (mid, scale) if machine == DEFAULT_MACHINE else (mid, scale, machine)
+    return exp
+
+
 def suite_experiments(
     scale: float = 1.0,
     ids: Optional[Sequence[int]] = None,
     machine: Optional[str] = None,
 ) -> List[Tuple[int, SpMVExperiment]]:
-    """(matrix id, experiment) pairs over the Table I suite.
+    """(matrix id, :func:`suite_experiment`) pairs over the Table I suite.
 
-    Each experiment carries its ``suite_ref`` — ``(matrix id, scale)``,
-    plus the machine id when targeting a non-default machine — so
-    worker processes can rebuild it deterministically for parallel
-    sweeps.  ``machine`` selects the modeled target
+    ``machine`` selects the modeled target
     (:func:`repro.machine.get_machine`); the default is the SCC.
     """
-    out = []
     machine_id = get_machine(machine or DEFAULT_MACHINE).machine_id
-    for e in SUITE:
-        if ids is not None and e.mid not in ids:
-            continue
-        exp = SpMVExperiment(build_matrix(e.mid, scale=scale), name=e.name, machine=machine_id)
-        if machine_id == DEFAULT_MACHINE:
-            exp.suite_ref = (e.mid, scale)
-        else:
-            exp.suite_ref = (e.mid, scale, machine_id)
-        out.append((e.mid, exp))
-    return out
-
-
-#: per-worker-process experiment memo for :func:`run_suite_batch`.
-_WORKER_SUITE: Dict[Tuple[int, float, str], SpMVExperiment] = {}
+    return [
+        (e.mid, suite_experiment(e.mid, scale, machine_id))
+        for e in SUITE
+        if ids is None or e.mid in ids
+    ]
 
 
 def run_suite_batch(task: Tuple) -> List[ExperimentResult]:
     """Pool-worker task: one suite experiment, several runs.
 
     ``task`` is ``(matrix id, scale, name, [run kwargs, ...])`` with an
-    optional fifth element naming the machine; the experiment is
-    rebuilt (and memoized) in the worker process and each kwargs dict
-    goes straight to :meth:`SpMVExperiment.run`, results in order.
+    optional fifth element naming the machine; each kwargs dict goes
+    straight to :meth:`SpMVExperiment.run` on :func:`suite_experiment`,
+    results in order.
     """
-    mid, scale, name, specs = task[:4]
+    mid, scale, _name, specs = task[:4]
     machine = task[4] if len(task) > 4 else DEFAULT_MACHINE
-    exp = _WORKER_SUITE.get((mid, scale, machine))
-    if exp is None:
-        exp = _WORKER_SUITE[(mid, scale, machine)] = SpMVExperiment(
-            build_matrix(mid, scale=scale), name=name, machine=machine
-        )
+    exp = suite_experiment(mid, scale, machine)
     return [exp.run(**spec) for spec in specs]
 
 

@@ -251,7 +251,7 @@ class MachineModel(ABC):
     source: str = ""
     #: run modes this machine supports; only the SCC carries the
     #: event-driven runtime and the trace-exact replay engine.
-    supported_modes: Tuple[str, ...] = ("model", "predict")
+    supported_modes: Tuple[str, ...] = ("model",)
 
     # -- substrates ------------------------------------------------------
 

@@ -96,7 +96,7 @@ class FT2000PlusMachine(MachineModel):
     display_name = "Phytium FT-2000+ (64 ARMv8 cores, 8 NUMA panels, DDR4)"
     comparison_label = "FT-2000+"
     source = "Chen et al., arXiv:1911.08779"
-    supported_modes = ("model", "predict")
+    supported_modes = ("model",)
 
     def __init__(self, inter_panel_hop_cost: int = INTER_PANEL_HOP_COST) -> None:
         #: mesh hops charged per panel-grid step; the ablation knob the

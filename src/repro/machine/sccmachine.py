@@ -49,7 +49,7 @@ class SCCMachine(MachineModel):
     display_name = "Intel SCC (48 x P54C, 6x4 tile mesh, 4 DDR3 MCs)"
     comparison_label = "SCC"
     source = "Pichel & Rivera, IPDPS-W 2012 (the source paper); Intel SCC EAS"
-    supported_modes = ("sim", "model", "exact-trace", "predict")
+    supported_modes = ("sim", "model", "exact-trace")
 
     def __init__(self) -> None:
         self._topology = SCCTopology()

@@ -97,7 +97,7 @@ class XeonPhiMachine(MachineModel):
     display_name = "Intel Xeon Phi KNC (61 cores, bidirectional ring, 8 GDDR5 MCs)"
     comparison_label = "Xeon Phi"
     source = "Saule, Kaya & Catalyurek, arXiv:1302.1078"
-    supported_modes = ("model", "predict")
+    supported_modes = ("model",)
 
     def __init__(self) -> None:
         self._topology = ring_topology(N_CORES, _mc_stops())

@@ -19,12 +19,7 @@ CI-stable) and fails when it regressed more than ``--max-regression``
 against a committed baseline snapshot, when the vectorized replay
 speedup falls below ``--min-replay-speedup`` (or stops matching the
 scalar oracle bit for bit), when the disabled-tracer path stops
-being near-free (``--max-tracer-overhead``), or when the predictor
-tier (``mode="predict"``, PR 10) loses its speed or accuracy edge:
-``--min-predict-speedup`` bounds the wall-clock ratio of a fresh
-model sweep over a fresh predict sweep of the same grid, and
-``--max-predict-error`` bounds the worst per-machine median relative
-makespan error of predict vs model.
+being near-free (``--max-tracer-overhead``).
 """
 
 from __future__ import annotations
@@ -111,15 +106,9 @@ def build_trace_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: experiment memo for repeated timing runs — rebuilding the matrix per
-#: repeat would swamp the timed region with construction cost and turn
-#: ``tracer_overhead_pct`` into scheduler noise.
-_BENCH_EXPERIMENTS: dict = {}
-
-
 def _traced_run(args: argparse.Namespace, tracer: Optional[Tracer]):
-    from ..core.experiment import SpMVExperiment
-    from ..sparse.suite import build_matrix, entry_by_id
+    from ..core.figures import suite_experiment
+    from ..machine.base import DEFAULT_MACHINE
 
     if args.cores < 1:
         raise SystemExit(f"--cores must be >= 1, got {args.cores}")
@@ -127,15 +116,12 @@ def _traced_run(args: argparse.Namespace, tracer: Optional[Tracer]):
         raise SystemExit(f"--scale must be in (0, 1], got {args.scale}")
     if args.iterations < 1:
         raise SystemExit(f"--iterations must be >= 1, got {args.iterations}")
+    # Memoized: rebuilding the matrix per timed repeat would swamp the
+    # timed region and turn ``tracer_overhead_pct`` into noise.
     try:
-        entry = entry_by_id(args.matrix_id)
+        exp = suite_experiment(args.matrix_id, args.scale, DEFAULT_MACHINE)
     except KeyError as exc:
         raise SystemExit(f"repro trace: {exc}") from exc
-    exp = _BENCH_EXPERIMENTS.get((args.matrix_id, args.scale))
-    if exp is None:
-        exp = _BENCH_EXPERIMENTS[(args.matrix_id, args.scale)] = SpMVExperiment(
-            build_matrix(args.matrix_id, scale=args.scale), name=entry.name
-        )
     result = exp.run(
         n_cores=args.cores,
         mapping=args.mapping,
@@ -282,23 +268,6 @@ def configure_bench_parser(p: argparse.ArgumentParser) -> None:
         "zero-cost disabled path and the deferred metric emission "
         "(PR 10, measured ~20%% on a 50us model point); 0 skips the "
         "check (default 0.75)",
-    )
-    p.add_argument(
-        "--min-predict-speedup",
-        type=float,
-        default=100.0,
-        help="'gate' fails when a fresh mode='predict' sweep is not at "
-        "least this many times faster (wall-clock) than the same "
-        "sweep in mode='model'; 0 skips the predict entry entirely "
-        "(default 100)",
-    )
-    p.add_argument(
-        "--max-predict-error",
-        type=float,
-        default=10.0,
-        help="'gate' fails when the worst per-machine median relative "
-        "makespan error of predict vs model exceeds this percentage "
-        "(default 10)",
     )
     add_json_flag(p)
     add_output_flag(p)
@@ -457,24 +426,14 @@ def _measure_machines(args: argparse.Namespace) -> dict:
     baseline), ``wallclock_model_s`` is a warmed median like every
     other wall-clock figure in the snapshot.
     """
-    from ..core.experiment import SpMVExperiment
+    from ..core.figures import suite_experiment
     from ..machine.registry import get_machine, list_machines
-    from ..sparse.suite import build_matrix, entry_by_id
 
-    entry = entry_by_id(args.matrix_id)
     repeats = max(5, args.repeats)
     out = {}
     for machine_id in list_machines():
         machine = get_machine(machine_id)
-        exp = _BENCH_EXPERIMENTS.get((args.matrix_id, args.scale, machine_id))
-        if exp is None:
-            exp = _BENCH_EXPERIMENTS[(args.matrix_id, args.scale, machine_id)] = (
-                SpMVExperiment(
-                    build_matrix(args.matrix_id, scale=args.scale),
-                    name=entry.name,
-                    machine=machine_id,
-                )
-            )
+        exp = suite_experiment(args.matrix_id, args.scale, machine_id)
         spec = dict(
             n_cores=min(args.cores, machine.topology.n_cores),
             mapping=args.mapping,
@@ -566,43 +525,6 @@ def _measure_serve_dedup(args: argparse.Namespace) -> dict:
     }
 
 
-def _measure_predict(args: argparse.Namespace) -> dict:
-    """Predict-vs-model differential benchmark (the ``predict`` entry).
-
-    Delegates to :func:`repro.predict.harness.differential_report`:
-    per machine-zoo member, a timed cold ``mode="model"`` sweep labels
-    the grid, a predictor is trained on those labels, and a fresh
-    ``mode="predict"`` sweep (feature memos cleared, so extraction is
-    paid in full) answers the same grid.  The headline numbers are the
-    aggregate wall-clock ratio and the *worst* per-machine median
-    relative makespan error — the two quantities the gate bounds with
-    ``--min-predict-speedup`` / ``--max-predict-error``.  The exact-
-    trace leg is skipped here; the differential test suite covers it.
-    """
-    from ..predict.harness import differential_report
-
-    if args.min_predict_speedup <= 0:
-        return {"skipped": "--min-predict-speedup 0"}
-    report = differential_report(include_exact=False)
-    agg = report["aggregate"]
-    return {
-        "grid": report["grid"],
-        "predict_speedup_vs_model": agg["speedup"],
-        "median_rel_err_pct": agg["worst_median_rel_err_pct"],
-        "wallclock_model_s": agg["t_model_s"],
-        "wallclock_predict_s": agg["t_predict_s"],
-        "per_machine": {
-            machine_id: {
-                "n_points": m["n_points"],
-                "speedup": m["speedup"],
-                "median_rel_err_pct": m["median_rel_err_pct"],
-                "p90_rel_err_pct": m["p90_rel_err_pct"],
-            }
-            for machine_id, m in report["machines"].items()
-        },
-    }
-
-
 def _measure_snapshot(args: argparse.Namespace) -> dict:
     """The full ``bench snapshot`` measurement as a dict."""
     result = _traced_run(args, None)
@@ -638,7 +560,6 @@ def _measure_snapshot(args: argparse.Namespace) -> dict:
         "replay": _measure_replay(args),
         "machines": _measure_machines(args),
         "serve_dedup": _measure_serve_dedup(args),
-        "predict": _measure_predict(args),
     }
 
 
@@ -697,22 +618,12 @@ def _run_gate(args: argparse.Namespace, out: Optional[TextIO]) -> int:
         args.max_tracer_overhead <= 0
         or snapshot["tracer_overhead_pct"] <= 100.0 * args.max_tracer_overhead
     )
-    # Predict tier: speedup is wall-clock (loose threshold), error is
-    # deterministic for a fixed grid (the model labels and the fit are
-    # both reproducible bit for bit).
-    predict = snapshot.get("predict", {})
-    predict_ok = bool(predict.get("skipped")) or (
-        predict.get("predict_speedup_vs_model", 0.0) >= args.min_predict_speedup
-        and predict.get("median_rel_err_pct", float("inf"))
-        <= args.max_predict_error
-    )
     failed = (
         regression > args.max_regression
         or not replay_ok
         or not machines_ok
         or not serve_ok
         or not tracer_ok
-        or not predict_ok
     )
     verdict = {
         "baseline": args.baseline,
@@ -730,11 +641,6 @@ def _run_gate(args: argparse.Namespace, out: Optional[TextIO]) -> int:
         "tracer_overhead_pct": snapshot["tracer_overhead_pct"],
         "max_tracer_overhead_pct": 100.0 * args.max_tracer_overhead,
         "tracer_ok": tracer_ok,
-        "predict_speedup_vs_model": predict.get("predict_speedup_vs_model"),
-        "min_predict_speedup": args.min_predict_speedup,
-        "predict_median_rel_err_pct": predict.get("median_rel_err_pct"),
-        "max_predict_error_pct": args.max_predict_error,
-        "predict_ok": predict_ok,
         "status": "fail" if failed else "ok",
         "snapshot": snapshot,
     }

@@ -71,11 +71,8 @@ JOB_STATES = ("queued", "running", "done")
 #: how a job's point got its record: ``store`` (dedup hit at submit),
 #: ``shared`` (another job was already computing it), ``simulated``
 #: (this job caused the execution), ``quarantined`` (every attempt and
-#: fallback failed; retryable on resubmission, never cached),
-#: ``predicted`` (a ``mode="predict"`` job answered at admission from
-#: the trained predictor; never persisted — mode purity, see
-#: docs/PREDICTOR.md).
-POINT_ORIGINS = ("store", "shared", "simulated", "quarantined", "predicted")
+#: fallback failed; retryable on resubmission, never cached).
+POINT_ORIGINS = ("store", "shared", "simulated", "quarantined")
 
 #: version prefix of every point store key; bump whenever the record
 #: shape or any upstream model constant changes meaning, orphaning old
@@ -113,7 +110,7 @@ def point_store_key(pt: CampaignPoint, ctx: CampaignContext) -> str:
     )
 
 
-def execute_point(pt: CampaignPoint, ctx: CampaignContext, cache: Dict) -> dict:
+def execute_point(pt: CampaignPoint, ctx: CampaignContext) -> dict:
     """Run one point and finalize its record exactly like a campaign.
 
     Delegates to :func:`repro.core.campaign.run_campaign_point` and
@@ -122,7 +119,7 @@ def execute_point(pt: CampaignPoint, ctx: CampaignContext, cache: Dict) -> dict:
     to the record a direct serial ``Campaign.run`` of the same spec
     writes — minus the campaign-file-internal ``_key``.
     """
-    rec = run_campaign_point(pt, ctx, cache)
+    rec = run_campaign_point(pt, ctx)
     rec["scale"] = ctx.scale
     return rec
 

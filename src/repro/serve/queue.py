@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.campaign import CampaignContext, CampaignPoint
 from ..store import ContentStore
-from .protocol import POINT_ORIGINS, CampaignSpec, execute_point, point_store_key
+from .protocol import POINT_ORIGINS, CampaignSpec, point_store_key
 
 __all__ = ["Job", "PointQueue"]
 
@@ -92,7 +92,6 @@ class Job:
             "dedup_hits": by_origin["store"] + by_origin["shared"],
             "simulated": by_origin["simulated"],
             "quarantined": by_origin["quarantined"],
-            "predicted": by_origin["predicted"],
             **{f"origin_{k}": v for k, v in by_origin.items()},
         }
 
@@ -135,11 +134,6 @@ class PointQueue:
         self.on_enqueue: Callable[[], None] = lambda: None
         self.on_complete: Callable[[bool], None] = lambda quarantined: None
         self.on_job_done: Callable[[Job], None] = lambda job: None
-        self.on_predict: Callable[[], None] = lambda: None
-        #: predict fast path state: its own lock + experiment memo, so
-        #: feature extraction never runs under the queue lock.
-        self._predict_lock = threading.Lock()
-        self._predict_experiments: Dict = {}
 
     # -- submission ------------------------------------------------------
 
@@ -149,19 +143,17 @@ class PointQueue:
         Every decision for the whole grid happens under one lock
         acquisition, so a concurrent identical submission sees either
         all of this job's keys in flight or none — never half.
-
-        ``mode="predict"`` jobs take the admission fast path: every
-        point is answered from the machine's trained predictor before
-        the queue lock is even taken, attached with
-        ``origin="predicted"``, and **never persisted** — the content
-        store only ever holds records the model/sim tiers computed, so
-        resubmitting the same grid in ``mode="model"`` still simulates.
         """
         ctx = spec.context()
-        if ctx.mode == "predict":
-            return self._submit_predict(spec, job_id, ctx)
         with self._lock:
-            job_id = self._assign_job_id(job_id)
+            if job_id is None:
+                self._job_seq += 1
+                job_id = f"job-{self._job_seq:06d}"
+            else:
+                # Recovered ids must not collide with future fresh ones.
+                tail = job_id.rsplit("-", 1)[-1]
+                if tail.isdigit():
+                    self._job_seq = max(self._job_seq, int(tail))
             job = Job(job_id, spec, ctx)
             self._jobs[job_id] = job
             self.on_submit(job)
@@ -187,45 +179,6 @@ class PointQueue:
                 self.on_job_done(job)
             if fresh:
                 self._has_pending.notify_all()
-            return job
-
-    def _assign_job_id(self, job_id: Optional[str]) -> str:
-        """Mint or adopt a job id; caller must hold :attr:`_lock`."""
-        if job_id is None:
-            self._job_seq += 1
-            return f"job-{self._job_seq:06d}"
-        # Recovered ids must not collide with future fresh ones.
-        tail = job_id.rsplit("-", 1)[-1]
-        if tail.isdigit():
-            self._job_seq = max(self._job_seq, int(tail))
-        return job_id
-
-    def _submit_predict(
-        self, spec: CampaignSpec, job_id: Optional[str], ctx: CampaignContext
-    ) -> Job:
-        """Admission fast path: predict every point, no queue, no store.
-
-        Records are computed under a dedicated lock (serializing only
-        concurrent predict submissions against each other and sharing
-        one experiment memo), then attached under the queue lock — the
-        whole job resolves before :meth:`submit` returns, exactly like
-        a grid of store hits.  Quarantine cannot happen here: a failed
-        run maps to a structured failure record, same as campaigns.
-        """
-        points = spec.points()
-        with self._predict_lock:
-            records = [
-                execute_point(pt, ctx, self._predict_experiments) for pt in points
-            ]
-        with self._lock:
-            job = Job(self._assign_job_id(job_id), spec, ctx)
-            self._jobs[job.job_id] = job
-            self.on_submit(job)
-            for index, rec in enumerate(records):
-                self.on_predict()
-                job.attach(index, rec, "predicted")
-            if job.done.is_set():
-                self.on_job_done(job)
             return job
 
     # -- scheduler side --------------------------------------------------

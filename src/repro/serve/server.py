@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.campaign import CampaignContext, CampaignPoint
-from ..core.experiment import SpMVExperiment
 from ..core.supervise import SupervisePolicy, supervised_iter_ordered
 from ..obs.metrics import MetricsRegistry, summary_prefix
 from ..store import ContentStore
@@ -54,16 +53,9 @@ STORE_NAMESPACE = "serve-points"
 _IDLE_WAIT_S = 0.2
 
 
-#: per-worker-process experiment memo (inherited empty at fork, filled
-#: as the forked worker sees matrices — the `_WORKER_EXPERIMENTS`
-#: pattern of :mod:`repro.core.campaign`).
-_SERVE_EXPERIMENTS: Dict = {}
-
-
 def _serve_task(item: Tuple[CampaignPoint, CampaignContext]) -> dict:
-    """Pool-worker task: one point against the per-process memo."""
-    pt, ctx = item
-    return execute_point(pt, ctx, _SERVE_EXPERIMENTS)
+    """Pool-worker task: one point."""
+    return execute_point(*item)
 
 
 def _serve_identity(item: Tuple[CampaignPoint, CampaignContext]) -> str:
@@ -96,8 +88,6 @@ class CampaignServer:
         self.metrics = MetricsRegistry()
         self.queue = PointQueue(self.store)
         self._wire_counters()
-        #: parent-process experiment memo for serial fallbacks.
-        self._experiments: Dict = {}
         self._host = host
         self._requested_port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -129,13 +119,11 @@ class CampaignServer:
             "serve.points_enqueued",
             "serve.simulations",
             "serve.quarantines",
-            "serve.predictions",
         ):
             count(name)
         self.queue.on_submit = lambda job: count("serve.jobs_submitted").inc()
         self.queue.on_dedup_hit = lambda: count("serve.dedup_hits").inc()
         self.queue.on_enqueue = lambda: count("serve.points_enqueued").inc()
-        self.queue.on_predict = lambda: count("serve.predictions").inc()
 
         def on_complete(quarantined: bool) -> None:
             if quarantined:
@@ -220,19 +208,14 @@ class CampaignServer:
         pool can shard points of different jobs (different contexts)."""
         ladder = []
         if self.policy.on_failure in ("serial", "model"):
-            ladder.append(
-                (
-                    "serial",
-                    lambda item: execute_point(item[0], item[1], self._experiments),
-                )
-            )
+            ladder.append(("serial", _serve_task))
         if self.policy.on_failure == "model":
 
             def model_rung(item):
                 pt, ctx = item
                 if ctx.mode != "model":
                     ctx = dataclasses.replace(ctx, mode="model", fault_plan=None)
-                return execute_point(pt, ctx, self._experiments)
+                return execute_point(pt, ctx)
 
             ladder.append(("model", model_rung))
         return ladder

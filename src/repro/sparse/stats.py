@@ -15,12 +15,10 @@ working set by the core count, and we follow it exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .csr import CSRMatrix
-from .partition import RowPartition
 
 __all__ = [
     "working_set_bytes",
@@ -28,14 +26,6 @@ __all__ = [
     "working_set_per_core",
     "MatrixProfile",
     "profile_matrix",
-    "ROW_LENGTH_EDGES",
-    "row_extents",
-    "row_length_histogram",
-    "bandwidth_stats",
-    "block_density",
-    "reuse_proxies",
-    "partition_imbalance",
-    "partition_spans",
 ]
 
 
@@ -91,225 +81,3 @@ def profile_matrix(a: CSRMatrix) -> MatrixProfile:
         row_len_std=float(lengths.std()) if a.n_rows else 0.0,
         mean_col_distance=col_dist,
     )
-
-
-# -- vectorized feature kernels (the mode="predict" extractor) ------------
-#
-# Everything below is a pure-NumPy single pass over ``ptr``/``index`` —
-# no Python per-row loops — so the whole matrix-level feature extraction
-# costs a small multiple of one ``np.diff`` even at full Table-I scale.
-# The kernels are deliberately *structural*: they see only the sparsity
-# pattern, never ``da``, because the performance model itself is
-# value-blind.
-
-#: row-length histogram bucket upper bounds (inclusive); the last
-#: bucket is open-ended.  Chosen to resolve the suite's spread: empty
-#: rows, near-diagonal rows, and the power-law heavy tail.
-ROW_LENGTH_EDGES: Tuple[int, ...] = (0, 2, 8, 32, 128)
-
-
-def _segment_reduce(
-    values: np.ndarray, starts: np.ndarray, ends: np.ndarray, op, fill: float
-) -> np.ndarray:
-    """Per-segment ``op.reduceat`` that tolerates empty segments.
-
-    ``np.ufunc.reduceat`` mishandles zero-length segments (it returns
-    the element *at* the index, and an index equal to ``values.size``
-    is outright invalid), so the reduction runs over the *nonempty*
-    segments only — the segments are contiguous (``ends[k] ==
-    starts[k+1]``), so the next nonempty start is exactly this
-    segment's end — and empty segments get ``fill``.
-    """
-    out = np.full(starts.size, fill, dtype=float)
-    nonempty = starts < ends
-    if values.size and nonempty.any():
-        out[nonempty] = op.reduceat(values, starts[nonempty])
-    return out
-
-
-def row_extents(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``(min_col, max_col, length)`` in one vectorized pass.
-
-    Empty rows get ``min_col = +inf`` and ``max_col = -inf`` so that
-    downstream segment minima/maxima ignore them naturally.
-    """
-    lengths = a.row_lengths().astype(np.int64)
-    starts = a.ptr[:-1].astype(np.int64)
-    ends = a.ptr[1:].astype(np.int64)
-    cols = a.index.astype(np.int64)
-    row_min = _segment_reduce(cols, starts, ends, np.minimum, np.inf)
-    row_max = _segment_reduce(cols, starts, ends, np.maximum, -np.inf)
-    return row_min, row_max, lengths
-
-
-def row_length_histogram(a: CSRMatrix, edges: Tuple[int, ...] = ROW_LENGTH_EDGES) -> np.ndarray:
-    """Fractions of rows whose nnz falls in each bucket (one extra
-    open-ended bucket at the end).  Invariant under any row or column
-    permutation — it sees only the multiset of row lengths."""
-    lengths = a.row_lengths()
-    if a.n_rows == 0:
-        return np.zeros(len(edges) + 1)
-    idx = np.searchsorted(np.asarray(edges, dtype=np.int64), lengths, side="left")
-    counts = np.bincount(idx, minlength=len(edges) + 1)
-    return counts / a.n_rows
-
-
-def bandwidth_stats(
-    a: CSRMatrix,
-    extents: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> Dict[str, float]:
-    """Diagonal-dispersion features (all normalized by ``n_cols``).
-
-    ``mean_dist``/``max_dist`` are over per-nonzero ``|col - row|``;
-    ``band_mean`` is the mean per-row column span ``(max - min + 1)``
-    over nonempty rows and ``profile_frac`` the summed spans over
-    ``n * n`` (the classic matrix profile).  These *do* change under
-    row/column reorderings — that is their job.  Pass precomputed
-    ``extents`` (from :func:`row_extents`) to skip recomputing them.
-    """
-    n = max(a.n_cols, 1)
-    if a.nnz == 0:
-        return {"mean_dist": 0.0, "max_dist": 0.0, "band_mean": 0.0, "profile_frac": 0.0}
-    rows_of_nnz = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths())
-    dist = np.abs(a.index - rows_of_nnz)
-    row_min, row_max, lengths = extents if extents is not None else row_extents(a)
-    nonempty = lengths > 0
-    spans = (row_max[nonempty] - row_min[nonempty] + 1.0) if nonempty.any() else np.zeros(1)
-    return {
-        "mean_dist": float(dist.mean()) / n,
-        "max_dist": float(dist.max()) / n,
-        "band_mean": float(spans.mean()) / n,
-        "profile_frac": float(spans.sum()) / (n * max(a.n_rows, 1)),
-    }
-
-
-def block_density(a: CSRMatrix, blocks: int = 16) -> Dict[str, float]:
-    """Coarse ``blocks x blocks`` occupancy of the sparsity pattern.
-
-    ``fill`` is the fraction of nonempty blocks; ``cv`` the coefficient
-    of variation of nonzeros over the *row* block stripes (a row-block
-    density/imbalance proxy that survives any column reordering).
-
-    Works stripe-by-stripe over the CSR layout: rows are sorted, so one
-    row block is one contiguous ``index`` slice — no per-nonzero row-id
-    expansion needed on the feature extraction hot path.
-    """
-    if a.nnz == 0 or a.n_rows == 0 or a.n_cols == 0:
-        return {"fill": 0.0, "cv": 0.0}
-    b = max(1, blocks)
-    # stripe r covers rows [edges[r], edges[r+1]) with edges[r] =
-    # ceil(r * n_rows / b), i.e. exactly the rows whose block index
-    # ``row * b // n_rows`` equals r; stripe nnz is a ptr diff.
-    edges = -((np.arange(b + 1, dtype=np.int64) * a.n_rows) // -b)
-    stripe_ptr = a.ptr[edges].astype(np.int64)
-    stripe = np.diff(stripe_ptr).astype(float)
-    filled = 0
-    for r in range(b):
-        sl = a.index[stripe_ptr[r]:stripe_ptr[r + 1]]
-        if sl.size:
-            cb = np.minimum(sl * b // a.n_cols, b - 1)
-            filled += int(np.count_nonzero(np.bincount(cb, minlength=b)))
-    mean = stripe.mean()
-    return {
-        "fill": filled / (b * b),
-        "cv": float(stripe.std() / mean) if mean > 0 else 0.0,
-    }
-
-
-def reuse_proxies(a: CSRMatrix, line_elems: int = 8) -> Dict[str, float]:
-    """Reuse-distance proxies of the ``x``-gather stream.
-
-    ``col_reuse`` is nnz over distinct columns touched (temporal reuse
-    of ``x`` entries); ``line_reuse`` nnz over distinct ``x`` cache
-    lines (``line_elems`` doubles per line — spatial reuse); and
-    ``adj_gap`` the mean within-row gap between consecutive column
-    indices, normalized by ``line_elems`` (stride-irregularity of the
-    gather: ~1/8 for a dense band, large for scattered rows).
-    """
-    if a.nnz == 0:
-        return {"col_reuse": 1.0, "line_reuse": 1.0, "adj_gap": 0.0}
-    cols = a.index.astype(np.int64)
-    # bincount-based distinct counts: O(nnz + n_cols), an order of
-    # magnitude cheaper than sort-based ``np.unique`` on the feature
-    # extraction hot path (column ids are bounded by n_cols).
-    touched = np.bincount(cols, minlength=a.n_cols) > 0
-    uniq_cols = int(np.count_nonzero(touched))
-    le = max(line_elems, 1)
-    uniq_lines = int(
-        np.count_nonzero(np.bitwise_or.reduceat(touched, np.arange(0, touched.size, le)))
-    ) if touched.size else 0
-    # within-row gap mean without materializing a masked copy: total
-    # |gap| minus the (few, one per row boundary) cross-row gaps.
-    if a.nnz > 1:
-        gaps = np.abs(np.diff(cols))
-        bidx = a.ptr[1:-1].astype(np.int64) - 1
-        bidx = bidx[(bidx >= 0) & (bidx < gaps.size)]
-        if bidx.size > 1:
-            # empty rows repeat a boundary index (ptr is sorted, so
-            # dedup is a neighbour test); each gap crosses once.
-            keep = np.empty(bidx.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(bidx[1:], bidx[:-1], out=keep[1:])
-            bidx = bidx[keep]
-        n_within = gaps.size - bidx.size
-        mean_gap = (
-            float(gaps.sum() - gaps[bidx].sum()) / n_within if n_within > 0 else 0.0
-        )
-    else:
-        mean_gap = 0.0
-    return {
-        "col_reuse": a.nnz / max(uniq_cols, 1),
-        "line_reuse": a.nnz / max(uniq_lines, 1),
-        "adj_gap": mean_gap / max(line_elems, 1),
-    }
-
-
-def partition_imbalance(a: CSRMatrix, partition: RowPartition) -> Dict[str, float]:
-    """Per-part nonzero/row imbalance of a row partition.
-
-    ``nnz_cv``/``nnz_max_frac`` quantify how uneven the per-core work
-    is (``max_frac`` is max over mean — 1.0 means perfectly balanced);
-    the row-count variants capture uneven *row* loads, which drive the
-    per-core loop overhead even when nnz balances.
-    """
-    part_nnz = partition.part_nnz(a).astype(float)
-    bounds = np.asarray([r for r, _ in partition.ranges()] + [a.n_rows], dtype=np.int64)
-    part_rows = np.diff(bounds).astype(float)
-
-    def _cv_max(v: np.ndarray) -> Tuple[float, float]:
-        mean = v.mean() if v.size else 0.0
-        if mean <= 0:
-            return 0.0, 1.0
-        return float(v.std() / mean), float(v.max() / mean)
-
-    nnz_cv, nnz_max = _cv_max(part_nnz)
-    rows_cv, rows_max = _cv_max(part_rows)
-    return {
-        "nnz_cv": nnz_cv,
-        "nnz_max_frac": nnz_max,
-        "rows_cv": rows_cv,
-        "rows_max_frac": rows_max,
-    }
-
-
-def partition_spans(
-    a: CSRMatrix,
-    partition: RowPartition,
-    row_min: np.ndarray = None,
-    row_max: np.ndarray = None,
-) -> np.ndarray:
-    """Per-part ``x`` column span (elements) — the gather footprint.
-
-    ``row_min``/``row_max`` from :func:`row_extents` can be passed in to
-    amortize the O(nnz) pass across many partitions of one matrix; the
-    per-partition cost is then O(n_parts).
-    """
-    if row_min is None or row_max is None:
-        row_min, row_max, _ = row_extents(a)
-    bounds = np.asarray([r for r, _ in partition.ranges()] + [a.n_rows], dtype=np.int64)
-    starts, ends = bounds[:-1], bounds[1:]
-    pmin = _segment_reduce(row_min, starts, ends, np.minimum, np.inf)
-    pmax = _segment_reduce(row_max, starts, ends, np.maximum, -np.inf)
-    spans = pmax - pmin + 1.0
-    spans[~np.isfinite(spans)] = 0.0
-    return np.maximum(spans, 0.0)

@@ -28,25 +28,19 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _clear_predictor_state():
-    """Reset the predict tier's process-level memos between tests.
+def _clear_suite_experiments():
+    """Empty the process-wide experiment memo around every test.
 
-    The artifact cache keys on (machine cache key, tag), which does not
-    change when the store directory moves — without this reset, a
-    predictor trained by one test would be served to the next even
-    though its store is empty.  The warn-once set and the feature memos
-    reset for the same hermeticity reason.
+    :func:`repro.core.figures.suite_experiment` keys on (matrix id,
+    scale, machine), which does not change when the store directory
+    moves; without this reset one test's memoized characterizations
+    would be served to the next.
     """
-    from repro.predict.artifact import clear_predictor_cache
-    from repro.sparse import features
+    from repro.core.figures import suite_experiment
 
-    clear_predictor_cache()
-    features._MF_MEMO.clear()
-    features._PF_MEMO.clear()
+    suite_experiment.cache_clear()
     yield
-    clear_predictor_cache()
-    features._MF_MEMO.clear()
-    features._PF_MEMO.clear()
+    suite_experiment.cache_clear()
 
 
 @pytest.fixture(scope="session")

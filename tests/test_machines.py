@@ -106,7 +106,7 @@ class TestSCCDriftFree:
         assert scc.presets is PRESETS
         assert scc.default_config is CONF0
         assert isinstance(scc.topology, SCCTopology)
-        assert scc.supported_modes == ("sim", "model", "exact-trace", "predict")
+        assert scc.supported_modes == ("sim", "model", "exact-trace")
         assert scc.cache_key() == "scc-48"
 
     def test_sim_and_model_agree_on_scc_only(self):
