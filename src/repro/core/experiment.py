@@ -13,10 +13,15 @@
    variant / iteration count / L2 switch;
 4. solves per-core times under MC contention
    (:mod:`repro.core.timing`);
-5. replays the job on the RCCE runtime — each UE computes for its
-   solved duration between barriers — so the reported makespan includes
-   synchronization cost, and optionally executes the real kernel to
-   verify ``y`` numerically.
+5. times the barrier/compute/barrier job, so the reported makespan
+   includes synchronization cost.  ``mode="sim"`` replays it on the
+   RCCE runtime — each UE computes for its solved duration between
+   barriers — and optionally executes the real kernel to verify ``y``
+   numerically.  ``mode="model"`` propagates the same barrier critical
+   path analytically, without scheduling events.  ``mode="exact-trace"``
+   does the same, but step 3's summaries carry trace-exact per-UE cache
+   counts from the vectorized replay engine instead of the HOTL
+   estimate.
 
 Performance is reported exactly as in the paper (Sec. IV):
 ``FLOPS/s = 2 * nnz * iterations / time``.
@@ -26,11 +31,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Counter as TCounter, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Counter as TCounter, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..machine.base import DEFAULT_MACHINE, MachineConfig, MachineModel, Topology
+from ..machine.base import DEFAULT_MACHINE, MachineConfig, MachineModel
 from ..machine.registry import get_machine
 from ..rcce.errors import RCCEBudgetExceededError, RCCETimeoutError
 from ..rcce.runtime import RCCERuntime
@@ -436,7 +441,6 @@ class SpMVExperiment:
         self,
         a: CSRMatrix,
         name: str = "matrix",
-        topology: Optional[Topology] = None,
         timing: Optional[Any] = None,
         x_capacity_fraction: float = DEFAULT_X_CAPACITY_FRACTION,
         partitioner: str = "balanced",
@@ -450,15 +454,14 @@ class SpMVExperiment:
         self.a = a
         self.name = name
         self.machine = get_machine(machine if machine is not None else DEFAULT_MACHINE)
-        self.topology = topology or self.machine.topology
+        self.topology = self.machine.topology
         self.timing = timing if timing is not None else self.machine.timing
         self.x_capacity_fraction = x_capacity_fraction
         self.partitioner = partitioner
-        self._trace_cache: Dict[int, List[UETrace]] = {}
-        self._partition_cache: Dict[int, RowPartition] = {}
-        self._batch_cache: Dict[int, BatchedTraces] = {}
-        self._summary_cache: Dict[Tuple, Any] = {}
-        self._ws_cache: Dict[int, float] = {}
+        #: the analyses that depend on the matrix, keyed ``(layer, *args)``;
+        #: the table dies with the experiment, and
+        #: :func:`repro.core.figures.suite_experiment`'s LRU bounds those.
+        self._memo: Dict[Tuple, Any] = {}
 
     #: set by :func:`repro.core.figures.suite_experiment` to the
     #: ``(matrix_id, scale)`` (plus the machine id for non-default
@@ -466,63 +469,51 @@ class SpMVExperiment:
     #: processes reconstruct from this instead of pickling CSR data.
     suite_ref: Optional[Tuple] = None
 
-    # Model-mode caches shared across experiments (class-level): barrier
-    # schedules, solver arrays, chip power and the stateless chip
-    # substrates depend on mapping/config/topology geometry — never on
-    # the matrix — and a machine's topology instances are
-    # interchangeable.  Keys include the machine id and the topology
-    # class so zoo members and exotic subclasses never alias.
-    _shared_mapping_cache: Dict[Tuple, Tuple[int, ...]] = {}
-    _shared_schedule_cache: Dict[Tuple, List[Tuple[int, int, float]]] = {}
-    _shared_solver_cache: Dict = {}
-    _shared_power_cache: Dict[Tuple, float] = {}
-    _shared_memsys_cache: Dict[Tuple, Any] = {}
-    _shared_mesh_cache: Dict[Tuple, Any] = {}
+    #: the analyses that never depend on the matrix — mapping, power,
+    #: memory system, mesh, barrier schedule and the solver's chip
+    #: arrays — shared by every experiment, keyed ``(layer, machine_id,
+    #: *args)``.  Machines are registry singletons, so the machine id
+    #: fixes the topology.  The key spaces are finite (mappings × core
+    #: counts × configs of each machine), so the table needs no bound.
+    _shared: Dict[Tuple, Any] = {}
 
-    # -- cached analyses ---------------------------------------------------
+    @staticmethod
+    def _cached(table: Dict[Tuple, Any], key: Tuple, build: Callable[[], Any]) -> Any:
+        """``table[key]``, built by ``build()`` and stored on first use."""
+        try:
+            return table[key]
+        except KeyError:
+            value = table[key] = build()
+            return value
+
+    # -- memoized analyses -------------------------------------------------
 
     def partition(self, n_ues: int) -> RowPartition:
-        """The (cached) row partition for this UE count."""
-        if n_ues not in self._partition_cache:
-            split = self.PARTITIONERS[self.partitioner]
-            self._partition_cache[n_ues] = split(self.a, n_ues)
-        return self._partition_cache[n_ues]
+        """The (memoized) row partition for this UE count."""
+        split = self.PARTITIONERS[self.partitioner]
+        return self._cached(self._memo, ("partition", n_ues), lambda: split(self.a, n_ues))
 
     def traces(self, n_ues: int) -> List[UETrace]:
         """Per-UE stream characterization (frequency/mapping independent)."""
-        if n_ues not in self._trace_cache:
-            cache_geom = self.machine.cache
-            self._trace_cache[n_ues] = characterize_partition(
+        geom = self.machine.cache
+        return self._cached(
+            self._memo,
+            ("traces", n_ues),
+            lambda: characterize_partition(
                 self.a,
                 self.partition(n_ues),
-                line_bytes=cache_geom.line_bytes,
-                l1_bytes=cache_geom.l1_bytes,
-                l2_bytes=cache_geom.l2_bytes,
+                line_bytes=geom.line_bytes,
+                l1_bytes=geom.l1_bytes,
+                l2_bytes=geom.l2_bytes,
                 x_capacity_fraction=self.x_capacity_fraction,
-            )
-        return self._trace_cache[n_ues]
+            ),
+        )
 
     def batched_traces(self, n_ues: int) -> BatchedTraces:
-        """The (cached) columnized form of :meth:`traces` for the fast path."""
-        if n_ues not in self._batch_cache:
-            self._batch_cache[n_ues] = batch_traces(self.traces(n_ues))
-        return self._batch_cache[n_ues]
-
-    def _batched_summaries(self, n_ues, iterations, l2_enabled, no_x_miss):
-        """Memoized batched access summaries (reused across configs that
-        share an L2 switch — e.g. all three frequency presets)."""
-        key = (n_ues, iterations, l2_enabled, no_x_miss)
-        summ = self._summary_cache.get(key)
-        if summ is None:
-            summ = batch_access_summaries(
-                self.batched_traces(n_ues),
-                iterations=iterations,
-                l2_enabled=l2_enabled,
-                no_x_miss=no_x_miss,
-                l2_bytes=self.machine.cache.l2_bytes,
-            )
-            self._summary_cache[key] = summ
-        return summ
+        """The (memoized) columnized form of :meth:`traces` for the fast path."""
+        return self._cached(
+            self._memo, ("batched", n_ues), lambda: batch_traces(self.traces(n_ues))
+        )
 
     def exact_summaries(
         self,
@@ -541,9 +532,8 @@ class SpMVExperiment:
         the HOTL locality estimate.  Memoized in process and — via the
         replay disk cache — across processes.
         """
-        key = ("exact", n_ues, iterations, l2_enabled, no_x_miss)
-        summ = self._summary_cache.get(key)
-        if summ is None:
+
+        def build() -> List[AccessSummary]:
             from ..scc.tracegen import replay_trace
 
             summ = []
@@ -568,69 +558,10 @@ class SpMVExperiment:
                         l2_misses=float(counts.mem_misses),
                     )
                 )
-            self._summary_cache[key] = summ
-        return summ
+            return summ
 
-    def _resolve_mapping(self, mapping: str, n_cores: int) -> Tuple[int, ...]:
-        """Memoized policy-name mapping resolution (pure in its inputs)."""
-        key = (mapping, n_cores, self.machine.machine_id, self.topology.__class__)
-        cache = SpMVExperiment._shared_mapping_cache
-        cores = cache.get(key)
-        if cores is None:
-            cores = cache[key] = tuple(get_mapping(mapping)(n_cores, self.topology))
-        return cores
-
-    def _chip_power(self, config: MachineConfig) -> float:
-        """Memoized full-chip power of a configuration."""
-        key = (self.machine.machine_id, config)
-        cache = SpMVExperiment._shared_power_cache
-        p = cache.get(key)
-        if p is None:
-            p = cache[key] = self.machine.chip_power(config)
-        return p
-
-    def _ws_per_core(self, n_cores: int) -> float:
-        """Memoized per-core working set of this matrix."""
-        ws = self._ws_cache.get(n_cores)
-        if ws is None:
-            ws = self._ws_cache[n_cores] = working_set_per_core(self.a, n_cores)
-        return ws
-
-    def _model_memory(self, config: MachineConfig) -> Any:
-        """Shared untraced memory system for the fast path (stateless reads)."""
-        key = (self.machine.machine_id, self.topology.__class__, config.mem_mhz)
-        cache = SpMVExperiment._shared_memsys_cache
-        mem = cache.get(key)
-        if mem is None:
-            mem = cache[key] = self.machine.memory_system(
-                config, topology=self.topology
-            )
-        return mem
-
-    def _model_mesh(self, config: MachineConfig) -> Any:
-        """Shared untraced, undegraded interconnect for the fast path."""
-        key = (self.machine.machine_id, self.topology.__class__, config.mesh_mhz)
-        cache = SpMVExperiment._shared_mesh_cache
-        mesh = cache.get(key)
-        if mesh is None:
-            mesh = cache[key] = self.machine.interconnect(
-                config, topology=self.topology
-            )
-        return mesh
-
-    def _barrier_schedule(self, core_map: List[int], mesh: Any):
-        """Memoized resolved barrier schedule for one mapping."""
-        key = (
-            tuple(core_map),
-            mesh.mesh_mhz,
-            self.machine.machine_id,
-            self.topology.__class__,
-        )
-        cache = SpMVExperiment._shared_schedule_cache
-        sched = cache.get(key)
-        if sched is None:
-            sched = cache[key] = resolve_barrier_schedule(core_map, mesh)
-        return sched
+        key = ("exact", n_ues, iterations, l2_enabled, no_x_miss)
+        return self._cached(self._memo, key, build)
 
     # -- the runner ---------------------------------------------------------
 
@@ -692,16 +623,7 @@ class SpMVExperiment:
             )
         if config is None:
             config = self.machine.default_config
-        if isinstance(mapping, str):
-            core_map = list(self._resolve_mapping(mapping, n_cores))
-            mapping_name = mapping
-        else:
-            core_map = list(mapping)
-            mapping_name = "explicit"
-            if len(core_map) != n_cores:
-                raise ValueError(
-                    f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
-                )
+        core_map, mapping_name = self._core_map(mapping, n_cores)
 
         if mode == "sim":
             makespan, timings, y = self._time_sim(
@@ -730,11 +652,34 @@ class SpMVExperiment:
             iterations=iterations,
             makespan=makespan,
             per_core=timings,
-            power_watts=self._chip_power(config),
-            ws_per_core_bytes=self._ws_per_core(n_cores),
+            power_watts=self._cached(
+                self._shared,
+                ("power", self.machine.machine_id, config),
+                lambda: self.machine.chip_power(config),
+            ),
+            ws_per_core_bytes=self._cached(
+                self._memo, ("ws", n_cores), lambda: working_set_per_core(self.a, n_cores)
+            ),
             y=y,
             machine=self.machine.machine_id,
         )
+
+    def _core_map(
+        self, mapping: Union[str, Sequence[int]], n_cores: int
+    ) -> Tuple[List[int], str]:
+        """``(core list, mapping name)`` of a policy name or explicit core list."""
+        if isinstance(mapping, str):
+            cores = self._cached(
+                self._shared,
+                ("mapping", self.machine.machine_id, mapping, n_cores),
+                lambda: tuple(get_mapping(mapping)(n_cores, self.topology)),
+            )
+            return list(cores), mapping
+        if len(mapping) != n_cores:
+            raise ValueError(
+                f"explicit mapping names {len(mapping)} cores but n_cores={n_cores}"
+            )
+        return list(mapping), "explicit"
 
     def _direct_y(
         self, n_cores: int, kernel: str, x: Optional[np.ndarray]
@@ -806,7 +751,12 @@ class SpMVExperiment:
         differ only in where ``l2_hits``/``l2_misses`` come from, which
         is precisely what ``repro run --validate-exact`` compares.
         """
-        mem = self._model_memory(config)
+        shared, machine, mid = self._shared, self.machine, self.machine.machine_id
+        mem = self._cached(
+            shared,
+            ("memory", mid, config.mem_mhz),
+            lambda: machine.memory_system(config, topology=self.topology),
+        )
         if exact:
             timings = solve_core_times(
                 self.exact_summaries(
@@ -822,19 +772,33 @@ class SpMVExperiment:
                 self.timing,
             )
         else:
-            summaries = self._batched_summaries(
-                n_cores, iterations, config.l2_enabled, kernel == "no_x_miss"
+            # One HOTL summary per L2 switch serves all three frequency presets.
+            no_x_miss = kernel == "no_x_miss"
+            summaries = self._cached(
+                self._memo,
+                ("hotl", n_cores, iterations, config.l2_enabled, no_x_miss),
+                lambda: batch_access_summaries(
+                    self.batched_traces(n_cores),
+                    iterations=iterations,
+                    l2_enabled=config.l2_enabled,
+                    no_x_miss=no_x_miss,
+                    l2_bytes=machine.cache.l2_bytes,
+                ),
             )
             timings = solve_core_times_batched(
-                summaries,
-                core_map,
-                config,
-                mem,
-                self.timing,
-                cache=SpMVExperiment._shared_solver_cache,
+                summaries, core_map, config, mem, self.timing, cache=shared
             )
 
-        schedule = self._barrier_schedule(core_map, self._model_mesh(config))
+        mesh = self._cached(
+            shared,
+            ("mesh", mid, config.mesh_mhz),
+            lambda: machine.interconnect(config, topology=self.topology),
+        )
+        schedule = self._cached(
+            shared,
+            ("barrier", mid, tuple(core_map), mesh.mesh_mhz),
+            lambda: resolve_barrier_schedule(core_map, mesh),
+        )
         entered = barrier_exit_times([0.0] * n_cores, core_map, schedule=schedule)
         computed = [e + t.time for e, t in zip(entered, timings)]
         exited = barrier_exit_times(computed, core_map, schedule=schedule)
@@ -848,12 +812,12 @@ class SpMVExperiment:
     def _emit_core_metrics(tracer: Any, timings: Sequence[Any]) -> None:
         """Publish per-core model summaries through the tracer's registry.
 
-        Uses the registry's one-pass series API (a single locked
-        create-or-get-and-update sweep over both per-core instrument
-        names, memoized label tuples, batched histogram observation),
-        so an *enabled* tracer costs a few dict lookups per run rather
-        than a locked get-or-create plus a method call per instrument
-        per core.
+        Uses the registry's deferred series API: each call validates
+        its rows and buffers them with one list append, and the registry
+        drains the buffer into both per-core instruments and the
+        histogram on its next read.  An *enabled* tracer so costs two
+        appends per run rather than a locked get-or-create plus a method
+        call per instrument per core.
         """
         m = tracer.metrics
         m.series_update(
@@ -905,16 +869,7 @@ class SpMVExperiment:
             )
         if config is None:
             config = self.machine.default_config
-        if isinstance(mapping, str):
-            core_map = get_mapping(mapping)(n_cores, self.topology)
-            mapping_name = mapping
-        else:
-            core_map = list(mapping)
-            mapping_name = "explicit"
-            if len(core_map) != n_cores:
-                raise ValueError(
-                    f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
-                )
+        core_map, mapping_name = self._core_map(mapping, n_cores)
 
         blocks = self.partition(n_cores).ranges()
         x_vec = x if x is not None else np.ones(self.a.n_cols)
@@ -990,7 +945,7 @@ class SpMVExperiment:
 
         ``machine`` reruns the sweep on another zoo member: a sibling
         experiment is built over the same matrix (partitions and traces
-        are machine-dependent, so per-experiment caches cannot be
+        are machine-dependent, so the per-experiment memo cannot be
         shared) and the sweep runs there.
         """
         exp: SpMVExperiment = self

@@ -178,16 +178,17 @@ def _chip_arrays(
     :func:`repro.sparse.fastpath.equilibrium_line_times`.  All five are
     pure functions of the mapping, the config and the memory geometry —
     the expensive per-core topology lookups are memoized in ``cache``
-    (keyed so distinct machines/configs/mappings never collide) when
-    callers sweep many runs.  The Eq.-1-form latency coefficients come
+    under ``("chip_arrays", machine_id, ...)`` keys, so the dict can be
+    shared with other memoized layers, when callers sweep many runs.  The Eq.-1-form latency coefficients come
     from the memory system itself, so every zoo machine's values flow
     through the same vectorized path.
     """
     key = (
+        "chip_arrays",
+        getattr(mem, "machine_id", "scc-48"),
         tuple(core_map),
         config,
         mem.line_bytes,
-        getattr(mem, "machine_id", "scc-48"),
     )
     if cache is not None and key in cache:
         return cache[key]
@@ -231,7 +232,8 @@ def solve_core_times_batched(
     instead of a Python loop per UE.  The scalar and batched solvers
     agree bitwise (the differential tests pin the whole fast path against
     the simulator).  ``cache`` memoizes the mapping/config-derived arrays
-    across calls; pass a dict owned by the sweep.
+    across calls; :class:`repro.core.experiment.SpMVExperiment` passes
+    its shared memo.
     """
     if batch.n_ues != len(core_map):
         raise ValueError(

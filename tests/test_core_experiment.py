@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import SpMVExperiment, single_core_at_distance
 from repro.scc import CONF0, CONF1
-from repro.sparse import banded, random_uniform
+from repro.sparse import banded, random_uniform, with_dense_rows
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +125,24 @@ class TestSweep:
     def test_sweep_cores(self, exp):
         results = exp.sweep_cores([1, 2, 4])
         assert [r.n_cores for r in results] == [1, 2, 4]
+
+
+class TestPartitionerOption:
+    """``partitioner=`` is not in the memo keys, so experiments on one
+    matrix must never see each other's partitions or summaries."""
+
+    def test_balanced_and_uniform_match_fresh_experiments(self):
+        skewed = with_dense_rows(banded(1500, 10.0, 20, seed=5), 3, 0.3, seed=6)
+
+        def record(exp):
+            return exp.run(n_cores=8, iterations=2, mode="model").to_record()
+
+        exps = {
+            p: SpMVExperiment(skewed, name="skewed", partitioner=p)
+            for p in ("balanced", "uniform")
+        }
+        for p, exp in exps.items():
+            first, again = record(exp), record(exp)
+            fresh = record(SpMVExperiment(skewed, name="skewed", partitioner=p))
+            assert first == again == fresh
+        assert exps["balanced"].partition(8) != exps["uniform"].partition(8)

@@ -13,7 +13,7 @@ import json
 from repro.core.campaign import CampaignContext, CampaignPoint
 from repro.core.experiment import SpMVExperiment
 from repro.core.figures import suite_experiment, suite_experiments
-from repro.machine.registry import get_machine
+from repro.machine.registry import get_machine, list_machines
 from repro.serve.protocol import execute_point
 from repro.sparse.suite import SUITE, build_matrix, entry_by_id
 
@@ -39,6 +39,7 @@ def _fresh_record(pt: CampaignPoint, scale: float) -> dict:
 
 def test_memo_is_bounded_across_many_scales_and_records_match_fresh_runs():
     pt = CampaignPoint(24, 4, "conf0", "distance_reduction", "csr")
+    shared_after_first_scale = None
     # Two passes: the second rebuilds experiments the first evicted.
     for _ in range(2):
         for scale in SCALES:
@@ -48,7 +49,12 @@ def test_memo_is_bounded_across_many_scales_and_records_match_fresh_runs():
                 _fresh_record(pt, scale), sort_keys=True
             )
             assert suite_experiment.cache_info().currsize <= len(SUITE) == 32
+            if shared_after_first_scale is None:
+                shared_after_first_scale = len(SpMVExperiment._shared)
     assert suite_experiment.cache_info().currsize == 32
+    # The matrix-independent memo is keyed by machine, never by scale.
+    assert len(SpMVExperiment._shared) == shared_after_first_scale
+    assert {key[1] for key in SpMVExperiment._shared} <= set(list_machines())
 
 
 def test_suite_experiments_share_the_memo():
