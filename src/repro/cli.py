@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .cliutil import add_output_flag, add_supervise_flags, open_output, policy_from_args
 from .core.figures import (
@@ -377,6 +377,13 @@ def _render(
         raise SystemExit(f"unknown artifact {artifact!r}")
 
 
+def _one_core_misses(exp, iterations: int) -> Tuple[float, float]:
+    """One-core memory misses of ``mode="model"`` and ``mode="exact-trace"``."""
+    model = exp.run(n_cores=1, iterations=iterations, mode="model")
+    exact = exp.run(n_cores=1, iterations=iterations, mode="exact-trace")
+    return model.per_core[0].mem_lines, exact.per_core[0].mem_lines
+
+
 def _render_validation(out) -> int:
     """Model self-checks: trace-exact replay, MC queue, kernel numerics.
 
@@ -384,11 +391,10 @@ def _render_validation(out) -> int:
     """
     import numpy as np
 
-    from .core.timing import _controller_line_time
-    from .core.trace import access_summary, characterize_partition
+    from .core.experiment import SpMVExperiment
     from .scc.mcqueue import CoreWorkload, simulate_controller
-    from .scc.tracegen import replay_trace
-    from .sparse import banded, partition_rows_balanced, random_uniform, spmv
+    from .sparse import banded, random_uniform, spmv
+    from .sparse.fastpath import equilibrium_line_times
 
     failures = 0
     rows = []
@@ -398,9 +404,7 @@ def _render_validation(out) -> int:
         ("banded", banded(2500, 10.0, 14, seed=1)),
         ("random", random_uniform(2500, 10.0, seed=2)),
     ):
-        [trace] = characterize_partition(a, partition_rows_balanced(a, 1))
-        model = access_summary(trace, iterations=1).l2_misses
-        exact = replay_trace(a, iterations=1).mem_misses
+        model, exact = _one_core_misses(SpMVExperiment(a), iterations=1)
         err = 100 * abs(model - exact) / max(exact, 1)
         ok = err < 30.0
         failures += not ok
@@ -413,9 +417,11 @@ def _render_validation(out) -> int:
     wl = CoreWorkload(compute_time=0.005, n_lines=20_000, latency=132.5e-9)
     capacity = 0.95e9 / 32
     event = max(simulate_controller([wl] * 12, capacity))
-    t_star = _controller_line_time([wl.compute_time] * 12, [float(wl.n_lines)] * 12,
-                                   [wl.latency] * 12, capacity)
-    closed = wl.compute_time + wl.n_lines * max(t_star, wl.latency)
+    line_time = equilibrium_line_times(
+        np.full(12, wl.compute_time), np.full(12, float(wl.n_lines)),
+        np.full(12, wl.latency), np.zeros(12, dtype=np.int64), [capacity],
+    )
+    closed = wl.compute_time + wl.n_lines * float(line_time[0])
     err = 100 * abs(closed - event) / event
     ok = err < 10.0
     failures += not ok
@@ -453,32 +459,29 @@ def _render_validation(out) -> int:
 def _render_exact_validation(args: argparse.Namespace, out) -> int:
     """``repro run --validate-exact``: analytic model vs exact replay.
 
-    For every selected suite matrix, the analytic stream model's memory
-    misses (:func:`repro.core.trace.access_summary`) are compared with
-    bitwise-exact trace replay on the vectorized engine at the same
-    scale and iteration count.  Both are expressed as miss ratios over
-    the kernel's ``(3n + 3nnz) * iterations`` accesses; the table shows
-    the per-matrix delta in percentage points.  This is the full-suite
-    version of the spot checks in ``repro run validate``, made feasible
-    by the set-parallel engine (scalar replay at this scale would take
-    hours; see docs/PERFORMANCE.md).
+    For every selected suite matrix, the one-core memory misses of
+    ``mode="model"`` (the HOTL stream model) are compared with those of
+    ``mode="exact-trace"`` (bitwise-exact replay on the vectorized
+    engine) at the same scale and iteration count.  Both are expressed
+    as miss ratios over the kernel's ``(3n + 3nnz) * iterations``
+    accesses; the table shows the per-matrix delta in percentage
+    points.  This is the full-suite version of the spot checks in
+    ``repro run validate``, made feasible by the set-parallel engine
+    (scalar replay at this scale would take hours; see
+    docs/PERFORMANCE.md).
     """
-    from .core.trace import access_summary, characterize_partition
-    from .scc.tracegen import replay_trace
-    from .sparse import partition_rows_balanced
+    from .core.experiment import SpMVExperiment
     from .sparse.suite import iter_suite
 
     rows = []
     deltas = []
     for e, a in iter_suite(scale=args.scale, ids=_parse_ids(args.ids)):
-        [trace] = characterize_partition(a, partition_rows_balanced(a, 1))
-        model_misses = access_summary(trace, iterations=args.iterations).l2_misses
-        exact = replay_trace(
-            a, iterations=args.iterations, engine="vectorized"
+        model_misses, exact_misses = _one_core_misses(
+            SpMVExperiment(a, name=e.name), iterations=args.iterations
         )
         accesses = (3 * a.n_rows + 3 * a.nnz) * args.iterations
         model_pct = 100.0 * model_misses / accesses
-        exact_pct = 100.0 * exact.mem_misses / accesses
+        exact_pct = 100.0 * exact_misses / accesses
         delta = model_pct - exact_pct
         deltas.append(abs(delta))
         rows.append(

@@ -63,10 +63,9 @@ from .timing import (
     barrier_exit_times,
     barrier_schedule,
     resolve_barrier_schedule,
-    solve_core_times,
     solve_core_times_batched,
 )
-from .trace import UETrace, access_summary, characterize_partition
+from .trace import UETrace, characterize_partition
 
 __all__ = [
     "BCSRTimingResult",
@@ -117,9 +116,7 @@ __all__ = [
     "barrier_exit_times",
     "barrier_schedule",
     "resolve_barrier_schedule",
-    "solve_core_times",
     "solve_core_times_batched",
     "UETrace",
-    "access_summary",
     "characterize_partition",
 ]

@@ -12,6 +12,11 @@ the SCC?  The model mirrors the CSR pipeline:
   costs cycles and bandwidth, while FLOPS are credited only for the
   structural nonzeros (2 per nonzero, as the paper counts).
 
+Each UE's block row range becomes a :class:`~repro.core.trace.UETrace`,
+folded and solved by the same calls as the CSR model
+(:func:`repro.sparse.fastpath.batch_access_summaries`,
+:func:`repro.core.timing.solve_core_times_batched`).
+
 :func:`run_bcsr_timing` returns a result comparable with
 :class:`~repro.core.experiment.ExperimentResult` on the same matrix, so
 ``benchmarks/test_ext_bcsr.py`` can report simulated CSR-vs-BCSR
@@ -26,16 +31,16 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from ..scc.chip import CONF0, SCCConfig
-from ..scc.core_model import AccessSummary
 from ..scc.locality import miss_ratio_curve
 from ..scc.memory import MemorySystem
 from ..scc.params import CACHE_LINE_BYTES, DEFAULT_TIMING, L1D_BYTES, L2_BYTES, P54CTimingParams
 from ..scc.topology import SCCTopology
 from ..sparse.bcsr import BCSRMatrix
+from ..sparse.fastpath import batch_access_summaries, batch_traces
 from .experiment import DEFAULT_ITERATIONS
 from .mapping import get_mapping
-from .timing import solve_core_times
-from .trace import DEFAULT_X_CAPACITY_FRACTION, _stream_lines
+from .timing import solve_core_times_batched
+from .trace import DEFAULT_X_CAPACITY_FRACTION, UETrace, _stream_lines
 
 __all__ = ["BCSRTimingResult", "run_bcsr_timing"]
 
@@ -108,7 +113,7 @@ def run_bcsr_timing(
     x_l2_cap = L2_BYTES * x_capacity_fraction / line
     cell_bytes = 8 * b.r * b.c
 
-    summaries = []
+    traces = []
     for k in range(n_cores):
         lo, hi = bounds[k], bounds[k + 1]
         blk_lo, blk_hi = int(b.block_ptr[lo]), int(b.block_ptr[hi])
@@ -134,29 +139,28 @@ def run_bcsr_timing(
             x_l1 = x_l2 = 0.0
             x_distinct = 0
         ws = cell_bytes * n_blocks + 4 * n_blocks + 12 * n_rows + x_distinct * line
-
-        cold = stream + x_distinct
-        if config.l2_enabled and ws <= L2_BYTES:
-            mem = float(cold)
-            l2_hits = max((stream + x_l1) * iterations - cold, 0.0)
-        elif config.l2_enabled:
-            mem = (stream + x_l2) * iterations
-            l2_hits = max(x_l1 - x_l2, 0.0) * iterations
-        else:
-            mem = (stream + x_l1) * iterations
-            l2_hits = 0.0
-        summaries.append(
-            AccessSummary(
+        traces.append(
+            UETrace(
+                ue=k,
                 nnz=cells,              # compute charges the fill-in
                 rows=n_brows,           # one loop body per block row
-                iterations=iterations,
-                l2_hits=l2_hits,
-                l2_misses=mem,
+                stream_lines=stream,
+                distinct_lines=stream + x_distinct,
+                x_l1_misses=x_l1,
+                x_l2_misses=x_l2,
+                x_distinct_lines=x_distinct,
+                ws_bytes=ws,
             )
         )
 
+    summaries = batch_access_summaries(
+        batch_traces(traces),
+        iterations=iterations,
+        l2_enabled=config.l2_enabled,
+        l2_bytes=L2_BYTES,
+    )
     mem_system = MemorySystem(topo, mem_mhz=config.mem_mhz)
-    timings = solve_core_times(summaries, core_map, config, mem_system, timing)
+    timings = solve_core_times_batched(summaries, core_map, config, mem_system, timing)
     makespan = max(t.time for t in timings)
     return BCSRTimingResult(
         r=b.r,

@@ -9,19 +9,21 @@
 2. characterizes each UE's access stream (:mod:`repro.core.trace`),
    memoizing per UE count — the characterization is mapping- and
    frequency-independent;
-3. converts traces to access summaries for the requested kernel
-   variant / iteration count / L2 switch;
+3. folds traces into access summaries for the requested kernel
+   variant / iteration count / L2 switch
+   (:func:`repro.sparse.fastpath.batch_access_summaries`);
+   ``mode="exact-trace"`` takes trace-exact per-UE cache counts from
+   the vectorized replay engine instead of the HOTL estimate;
 4. solves per-core times under MC contention
-   (:mod:`repro.core.timing`);
+   (:func:`repro.core.timing.solve_core_times_batched`) — steps 3 and 4
+   are the same calls in every mode;
 5. times the barrier/compute/barrier job, so the reported makespan
    includes synchronization cost.  ``mode="sim"`` replays it on the
    RCCE runtime — each UE computes for its solved duration between
    barriers — and optionally executes the real kernel to verify ``y``
-   numerically.  ``mode="model"`` propagates the same barrier critical
-   path analytically, without scheduling events.  ``mode="exact-trace"``
-   does the same, but step 3's summaries carry trace-exact per-UE cache
-   counts from the vectorized replay engine instead of the HOTL
-   estimate.
+   numerically.  ``mode="model"`` and ``mode="exact-trace"`` propagate
+   the same barrier critical path analytically, without scheduling
+   events.
 
 Performance is reported exactly as in the paper (Sec. IV):
 ``FLOPS/s = 2 * nnz * iterations / time``.
@@ -39,9 +41,13 @@ from ..machine.base import DEFAULT_MACHINE, MachineConfig, MachineModel
 from ..machine.registry import get_machine
 from ..rcce.errors import RCCEBudgetExceededError, RCCETimeoutError
 from ..rcce.runtime import RCCERuntime
-from ..scc.core_model import AccessSummary
 from ..sparse.csr import CSRMatrix
-from ..sparse.fastpath import BatchedTraces, batch_access_summaries, batch_traces
+from ..sparse.fastpath import (
+    BatchedSummaries,
+    BatchedTraces,
+    batch_access_summaries,
+    batch_traces,
+)
 from ..sparse.partition import (
     RowPartition,
     partition_rows_balanced,
@@ -54,10 +60,9 @@ from .timing import (
     CoreTiming,
     barrier_exit_times,
     resolve_barrier_schedule,
-    solve_core_times,
     solve_core_times_batched,
 )
-from .trace import DEFAULT_X_CAPACITY_FRACTION, UETrace, access_summary, characterize_partition
+from .trace import DEFAULT_X_CAPACITY_FRACTION, UETrace, characterize_partition
 
 __all__ = [
     "ResultBase",
@@ -522,7 +527,7 @@ class SpMVExperiment:
         l2_enabled: bool = True,
         no_x_miss: bool = False,
         tracer: Optional[Any] = None,
-    ) -> List[AccessSummary]:
+    ) -> BatchedSummaries:
         """Trace-exact per-UE access summaries via vectorized replay.
 
         Each UE's row block is replayed through the set-parallel exact
@@ -533,12 +538,12 @@ class SpMVExperiment:
         replay disk cache — across processes.
         """
 
-        def build() -> List[AccessSummary]:
+        def build() -> BatchedSummaries:
             from ..scc.tracegen import replay_trace
 
-            summ = []
-            for r0, r1 in self.partition(n_ues).ranges():
-                counts = replay_trace(
+            part = self.partition(n_ues)
+            counts = [
+                replay_trace(
                     self.a,
                     r0,
                     r1,
@@ -549,16 +554,15 @@ class SpMVExperiment:
                     tracer=tracer,
                     machine_key=self.machine.cache_key(),
                 )
-                summ.append(
-                    AccessSummary(
-                        nnz=int(self.a.ptr[r1] - self.a.ptr[r0]),
-                        rows=r1 - r0,
-                        iterations=iterations,
-                        l2_hits=float(counts.l2_hits),
-                        l2_misses=float(counts.mem_misses),
-                    )
-                )
-            return summ
+                for r0, r1 in part.ranges()
+            ]
+            return BatchedSummaries(
+                nnz=part.part_nnz(self.a),
+                rows=np.diff(np.asarray(part.bounds, dtype=np.int64)),
+                iterations=iterations,
+                l2_hits=np.array([c.l2_hits for c in counts], dtype=np.float64),
+                l2_misses=np.array([c.mem_misses for c in counts], dtype=np.float64),
+            )
 
         key = ("exact", n_ues, iterations, l2_enabled, no_x_miss)
         return self._cached(self._memo, key, build)
@@ -590,22 +594,23 @@ class SpMVExperiment:
         :class:`~repro.rcce.errors.RCCEBudgetExceededError` — campaigns
         use this to turn a hung point into a structured record instead
         of a hung sweep.  ``tracer`` (a :class:`repro.obs.Tracer`)
-        observes the whole stack: runtime spans, mesh counters, memory
-        histograms and per-core model summaries.
+        observes the whole stack: runtime spans, mesh counters and
+        per-core model summaries.
 
-        ``mode="sim"`` replays the job on the event-driven runtime;
-        ``mode="model"`` computes the identical per-core times in one
-        vectorized pass (:mod:`repro.sparse.fastpath`) and propagates the
-        barrier critical path analytically
-        (:func:`repro.core.timing.barrier_exit_times`) — same numbers to
-        the tolerance stated in ``docs/PERFORMANCE.md``, orders of
-        magnitude faster.  The model times the standard barrier/compute/
-        barrier loop; runtime-only effects (fault injection, per-event
-        tracer spans, the verify gather) exist only in ``sim`` mode.
-        ``mode="exact-trace"`` runs the same analytic composition but
-        replaces the HOTL cache characterization with trace-exact
-        per-UE counts from the vectorized replay engine — the
-        ground-truth validation path (``repro run --validate-exact``).
+        Every mode solves the per-core times through the same batched
+        fold and contention solver (:mod:`repro.sparse.fastpath`).
+        ``mode="sim"`` then replays the job on the event-driven runtime;
+        ``mode="model"`` propagates the barrier critical path
+        analytically (:func:`repro.core.timing.barrier_exit_times`) —
+        same numbers to the tolerance stated in ``docs/PERFORMANCE.md``,
+        orders of magnitude faster.  The model times the standard
+        barrier/compute/barrier loop; runtime-only effects (fault
+        injection, per-event tracer spans, the verify gather) exist only
+        in ``sim`` mode.  ``mode="exact-trace"`` runs the model's
+        analytic composition but replaces the HOTL cache
+        characterization with trace-exact per-UE counts from the
+        vectorized replay engine — the ground-truth validation path
+        (``repro run --validate-exact``).
         """
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
@@ -625,15 +630,18 @@ class SpMVExperiment:
             config = self.machine.default_config
         core_map, mapping_name = self._core_map(mapping, n_cores)
 
+        timings = self._core_timings(
+            n_cores, core_map, config, kernel, iterations, tracer,
+            exact=(mode == "exact-trace"),
+        )
         if mode == "sim":
-            makespan, timings, y = self._time_sim(
-                n_cores, core_map, config, kernel, iterations, verify, x,
+            makespan, y = self._time_sim(
+                n_cores, core_map, config, kernel, timings, verify, x,
                 time_budget, tracer,
             )
         else:
-            makespan, timings = self._time_analytic(
-                n_cores, core_map, config, kernel, iterations, time_budget,
-                tracer, exact=(mode == "exact-trace"),
+            makespan = self._time_analytic(
+                n_cores, core_map, config, timings, time_budget
             )
             # The numeric result never came from the timing path —
             # compute it directly, outside anything a caller would time.
@@ -691,89 +699,37 @@ class SpMVExperiment:
             [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
         )
 
-    def _time_sim(
+    def _core_timings(
         self,
         n_cores: int,
         core_map: List[int],
         config: MachineConfig,
         kernel: str,
         iterations: int,
-        verify: bool,
-        x: Optional[np.ndarray],
-        time_budget: Optional[float],
         tracer: Optional[Any],
-    ) -> Tuple[float, List[CoreTiming], Optional[np.ndarray]]:
-        """``mode="sim"``: replay the job on the event-driven runtime.
+        exact: bool,
+    ) -> List[CoreTiming]:
+        """Per-core times of one run: access summaries + contention solve.
 
-        Returns ``(makespan, per-core timings, y)``; with ``verify`` the
-        UEs run the real kernel and gather ``y`` on the runtime.
-        """
-        summaries = [
-            access_summary(
-                t,
-                iterations=iterations,
-                l2_enabled=config.l2_enabled,
-                no_x_miss=(kernel == "no_x_miss"),
-                l2_bytes=self.machine.cache.l2_bytes,
-            )
-            for t in self.traces(n_cores)
-        ]
-        mem = self.machine.memory_system(config, topology=self.topology, tracer=tracer)
-        timings = solve_core_times(summaries, core_map, config, mem, self.timing)
-        durations = [t.time for t in timings]
-        blocks = self.partition(n_cores).ranges()
-        x_vec = x if x is not None else np.ones(self.a.n_cols)
-        runtime = RCCERuntime(
-            core_map, config=config, topology=self.topology, tracer=tracer
-        )
-        results = runtime.run(
-            _ue_body, durations, blocks, self.a, x_vec, kernel, verify, until=time_budget
-        )
-        y = results[0].value if verify else None
-        return runtime.makespan(results), timings, y
-
-    def _time_analytic(
-        self,
-        n_cores: int,
-        core_map: List[int],
-        config: MachineConfig,
-        kernel: str,
-        iterations: int,
-        time_budget: Optional[float],
-        tracer: Optional[Any],
-        exact: bool = False,
-    ) -> Tuple[float, List[CoreTiming]]:
-        """The analytic path: per-core solve + barrier recurrence.
-
-        ``exact=False`` is ``mode="model"`` (batched HOTL summaries);
-        ``exact=True`` is ``mode="exact-trace"`` (the same timing
-        composition fed trace-exact per-UE cache counts) — the two
-        differ only in where ``l2_hits``/``l2_misses`` come from, which
-        is precisely what ``repro run --validate-exact`` compares.
+        Every mode goes through here.  ``exact=False`` folds the HOTL
+        traces (``mode="model"`` and ``mode="sim"``); ``exact=True``
+        takes trace-exact per-UE cache counts (``mode="exact-trace"``).
+        The two differ only in where ``l2_hits``/``l2_misses`` come
+        from, which is precisely what ``repro run --validate-exact``
+        compares.
         """
         shared, machine, mid = self._shared, self.machine, self.machine.machine_id
-        mem = self._cached(
-            shared,
-            ("memory", mid, config.mem_mhz),
-            lambda: machine.memory_system(config, topology=self.topology),
-        )
+        no_x_miss = kernel == "no_x_miss"
         if exact:
-            timings = solve_core_times(
-                self.exact_summaries(
-                    n_cores,
-                    iterations,
-                    l2_enabled=config.l2_enabled,
-                    no_x_miss=(kernel == "no_x_miss"),
-                    tracer=tracer,
-                ),
-                core_map,
-                config,
-                mem,
-                self.timing,
+            summaries = self.exact_summaries(
+                n_cores,
+                iterations,
+                l2_enabled=config.l2_enabled,
+                no_x_miss=no_x_miss,
+                tracer=tracer,
             )
         else:
             # One HOTL summary per L2 switch serves all three frequency presets.
-            no_x_miss = kernel == "no_x_miss"
             summaries = self._cached(
                 self._memo,
                 ("hotl", n_cores, iterations, config.l2_enabled, no_x_miss),
@@ -785,10 +741,55 @@ class SpMVExperiment:
                     l2_bytes=machine.cache.l2_bytes,
                 ),
             )
-            timings = solve_core_times_batched(
-                summaries, core_map, config, mem, self.timing, cache=shared
-            )
+        mem = self._cached(
+            shared,
+            ("memory", mid, config.mem_mhz),
+            lambda: machine.memory_system(config, topology=self.topology),
+        )
+        return solve_core_times_batched(
+            summaries, core_map, config, mem, self.timing, cache=shared
+        )
 
+    def _time_sim(
+        self,
+        n_cores: int,
+        core_map: List[int],
+        config: MachineConfig,
+        kernel: str,
+        timings: List[CoreTiming],
+        verify: bool,
+        x: Optional[np.ndarray],
+        time_budget: Optional[float],
+        tracer: Optional[Any],
+    ) -> Tuple[float, Optional[np.ndarray]]:
+        """``mode="sim"``: replay the job on the event-driven runtime.
+
+        Each UE computes for its solved duration between barriers.
+        Returns ``(makespan, y)``; with ``verify`` the UEs run the real
+        kernel and gather ``y`` on the runtime.
+        """
+        durations = [t.time for t in timings]
+        blocks = self.partition(n_cores).ranges()
+        x_vec = x if x is not None else np.ones(self.a.n_cols)
+        runtime = RCCERuntime(
+            core_map, config=config, topology=self.topology, tracer=tracer
+        )
+        results = runtime.run(
+            _ue_body, durations, blocks, self.a, x_vec, kernel, verify, until=time_budget
+        )
+        y = results[0].value if verify else None
+        return runtime.makespan(results), y
+
+    def _time_analytic(
+        self,
+        n_cores: int,
+        core_map: List[int],
+        config: MachineConfig,
+        timings: List[CoreTiming],
+        time_budget: Optional[float],
+    ) -> float:
+        """The barrier/compute/barrier makespan, propagated analytically."""
+        shared, machine, mid = self._shared, self.machine, self.machine.machine_id
         mesh = self._cached(
             shared,
             ("mesh", mid, config.mesh_mhz),
@@ -806,7 +807,7 @@ class SpMVExperiment:
         if time_budget is not None and makespan > time_budget:
             stuck = [ue for ue, done in enumerate(exited) if done > time_budget]
             raise RCCEBudgetExceededError(time_budget, stuck, time_budget)
-        return makespan, timings
+        return makespan
 
     @staticmethod
     def _emit_core_metrics(tracer: Any, timings: Sequence[Any]) -> None:

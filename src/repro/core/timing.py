@@ -3,8 +3,8 @@
 Core time depends on the effective per-line memory time, which depends
 on every core's demand on its controller, which depends on core time.
 Rather than iterating that circular dependency (which oscillates around
-the saturation point), :func:`solve_core_times` solves it exactly, one
-controller at a time:
+the saturation point), :func:`solve_core_times_batched` solves it
+exactly, one controller at a time:
 
 With ``A_c`` the core-clock seconds of core ``c`` (compute + L2 hits),
 ``M_c`` its memory line count, and ``T`` the controller's effective
@@ -17,6 +17,11 @@ controller's capacity ``R = bandwidth / line_bytes``, the controller is
 unsaturated and every core just pays its Eq. 1 latency.  Otherwise the
 equilibrium is the unique ``T*`` with ``D(T*) = R``, found by
 bisection; each core then sees ``max(T*, latency_c)``.
+
+This is the package's one contention solver: every experiment mode and
+the BCSR extension (:mod:`repro.core.blocked`) go through it.  The array arithmetic lives in
+:mod:`repro.sparse.fastpath`; this module feeds it the mapping- and
+config-derived per-core frequencies, latencies and controller groups.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import numpy as np
 
 from ..machine.base import MachineConfig
 from ..rcce.mpb import chunked_transfer_time
-from ..scc.core_model import AccessSummary, core_time
 from ..scc.params import DEFAULT_TIMING, P54CTimingParams
 from ..sparse.fastpath import (
     BatchedSummaries,
@@ -39,7 +43,6 @@ from ..sparse.fastpath import (
 
 __all__ = [
     "CoreTiming",
-    "solve_core_times",
     "solve_core_times_batched",
     "barrier_schedule",
     "resolve_barrier_schedule",
@@ -69,100 +72,6 @@ class CoreTiming(NamedTuple):
     def mem_stall_fraction(self) -> float:
         """Share of this core's time spent in memory stalls."""
         return min(self.mem_lines * self.line_time / self.time, 1.0) if self.time > 0 else 0.0
-
-
-def _controller_line_time(
-    base_times: List[float],
-    mem_lines: List[float],
-    latencies: List[float],
-    capacity_lines_per_sec: float,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-) -> float:
-    """Equilibrium per-line service time of one saturated-or-not MC.
-
-    Returns the common ``T*`` (cores individually still floor at their
-    own latency).  ``base_times`` are the A_c terms.
-    """
-
-    def demand(t: float) -> float:
-        """Aggregate line demand (lines/sec) at service time ``t``."""
-        total = 0.0
-        for a, m, lat in zip(base_times, mem_lines, latencies):
-            if m <= 0:
-                continue
-            total += m / (a + m * max(t, lat))
-        return total
-
-    lo = min(latencies)
-    if demand(lo) <= capacity_lines_per_sec:
-        return lo
-    # Find an upper bracket: demand halves as T doubles past saturation.
-    hi = max(lo, 1e-9)
-    while demand(hi) > capacity_lines_per_sec:
-        hi *= 2.0
-        if hi > 1.0:  # 1 s/line would be ~10^9x the real latency
-            return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if demand(mid) > capacity_lines_per_sec:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi:
-            break
-    return hi
-
-
-def solve_core_times(
-    summaries: Sequence[AccessSummary],
-    core_map: Sequence[int],
-    config: MachineConfig,
-    mem: Any,
-    timing: P54CTimingParams = DEFAULT_TIMING,
-) -> List[CoreTiming]:
-    """Exact per-core times under MC bandwidth sharing."""
-    if len(summaries) != len(core_map):
-        raise ValueError(
-            f"{len(summaries)} summaries for {len(core_map)} cores — must match"
-        )
-    if mem.mem_mhz != config.mem_mhz:
-        raise ValueError(
-            f"memory system clocked at {mem.mem_mhz} MHz but config says {config.mem_mhz}"
-        )
-    cores = list(core_map)
-    n = len(cores)
-    freqs = [config.core_mhz_of_core(c) for c in cores]
-    latencies = [
-        mem.latency_for_core(c, f, config.mesh_mhz) for c, f in zip(cores, freqs)
-    ]
-    # A_c: everything but memory stalls (evaluate with zero line time).
-    base_times = [
-        core_time(s, f, 0.0, timing) for s, f in zip(summaries, freqs)
-    ]
-    mem_lines = [float(s.l2_misses) for s in summaries]
-
-    # Group by controller and solve each equilibrium independently.
-    line_time = [0.0] * n
-    groups: Dict[int, List[int]] = {}
-    for i, c in enumerate(cores):
-        groups.setdefault(mem.topology.mc_index_of_core(c), []).append(i)
-    for mc_idx, members in groups.items():
-        capacity = mem.controllers[mc_idx].bandwidth / mem.line_bytes
-        t_star = _controller_line_time(
-            [base_times[i] for i in members],
-            [mem_lines[i] for i in members],
-            [latencies[i] for i in members],
-            capacity,
-        )
-        for i in members:
-            line_time[i] = max(t_star, latencies[i])
-
-    times = [a + m * lt for a, m, lt in zip(base_times, mem_lines, line_time)]
-    return [
-        CoreTiming(ue=i, core=c, time=t, line_time=lt, mem_lines=m)
-        for i, (c, t, lt, m) in enumerate(zip(cores, times, line_time, mem_lines))
-    ]
 
 
 def _chip_arrays(
@@ -225,15 +134,14 @@ def solve_core_times_batched(
     timing: P54CTimingParams = DEFAULT_TIMING,
     cache: Optional[Dict] = None,
 ) -> List[CoreTiming]:
-    """Vectorized :func:`solve_core_times` over batched access summaries.
+    """Exact per-core times under MC bandwidth sharing.
 
-    Same demand model, same per-controller equilibrium, but the per-core
-    arithmetic runs as array expressions (:mod:`repro.sparse.fastpath`)
-    instead of a Python loop per UE.  The scalar and batched solvers
-    agree bitwise (the differential tests pin the whole fast path against
-    the simulator).  ``cache`` memoizes the mapping/config-derived arrays
-    across calls; :class:`repro.core.experiment.SpMVExperiment` passes
-    its shared memo.
+    ``batch`` holds one access summary per entry of ``core_map``.  The
+    per-core arithmetic runs as array expressions
+    (:mod:`repro.sparse.fastpath`); each occupied controller's
+    equilibrium is solved as the module docstring describes.  ``cache``
+    memoizes the mapping/config-derived arrays across calls;
+    :class:`repro.core.experiment.SpMVExperiment` passes its shared memo.
     """
     if batch.n_ues != len(core_map):
         raise ValueError(

@@ -22,10 +22,9 @@ the classic shared-cache approximation we charge the gather an
 ``benchmarks/test_ablation_locality.py``).
 
 :func:`characterize_partition` produces one :class:`UETrace` per UE;
-:func:`access_summary` converts a trace into the
-:class:`~repro.scc.core_model.AccessSummary` consumed by the timing
-model, applying the experiment's iteration count, kernel variant and
-L2 on/off switch.
+:func:`repro.sparse.fastpath.batch_access_summaries` folds a batch of
+them into the access summaries the timing model consumes, applying the
+experiment's iteration count, kernel variant and L2 on/off switch.
 """
 
 from __future__ import annotations
@@ -33,13 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..scc.core_model import AccessSummary
 from ..scc.locality import miss_ratio_curve
 from ..scc.params import CACHE_LINE_BYTES, L1D_BYTES, L2_BYTES
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import RowPartition
 
-__all__ = ["UETrace", "characterize_partition", "access_summary"]
+__all__ = ["UETrace", "characterize_partition"]
 
 #: fraction of each cache level the x gather effectively owns while the
 #: four streams flow through the remainder.
@@ -126,49 +124,3 @@ def characterize_partition(
             )
         )
     return traces
-
-
-def access_summary(
-    trace: UETrace,
-    iterations: int,
-    l2_enabled: bool = True,
-    no_x_miss: bool = False,
-    l2_bytes: int = L2_BYTES,
-) -> AccessSummary:
-    """Fold a per-iteration trace into totals for ``iterations`` SpMVs.
-
-    Three regimes (paper Sec. IV-B):
-
-    - **L2-resident** (working set <= L2): only the first iteration
-      misses to memory; later iterations turn every L1 miss into an L2
-      hit.
-    - **Streaming** (working set > L2): the streams miss to memory every
-      iteration; gather accesses that fit L2 but not L1 are L2 hits.
-    - **L2 disabled** (Fig. 7): every L1 miss pays the memory latency.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    x_l1 = 0.0 if no_x_miss else trace.x_l1_misses
-    x_l2 = 0.0 if no_x_miss else trace.x_l2_misses
-    x_cold = 0 if no_x_miss else trace.x_distinct_lines
-    cold = trace.stream_lines + x_cold  # distinct lines ~ cold misses
-
-    if not l2_enabled:
-        mem = (trace.stream_lines + x_l1) * iterations
-        l2_hits = 0.0
-    elif trace.ws_bytes <= l2_bytes:
-        # Warm after the first pass: cold misses once, L2 hits after.
-        per_iter_l1_misses = trace.stream_lines + x_l1
-        mem = float(cold)
-        l2_hits = max(per_iter_l1_misses * iterations - cold, 0.0)
-    else:
-        mem = (trace.stream_lines + x_l2) * iterations
-        l2_hits = max(x_l1 - x_l2, 0.0) * iterations
-
-    return AccessSummary(
-        nnz=trace.nnz,
-        rows=trace.rows,
-        iterations=iterations,
-        l2_hits=l2_hits,
-        l2_misses=mem,
-    )

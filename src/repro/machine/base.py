@@ -78,8 +78,8 @@ class CoreTimingParams:
     """Per-element SpMV cycle costs of one core (generic machines).
 
     Field-compatible with :class:`repro.scc.params.P54CTimingParams` —
-    the timing composition (:func:`repro.scc.core_model.core_time`,
-    :func:`repro.sparse.fastpath.base_compute_times`) duck-types over
+    the timing composition
+    (:func:`repro.sparse.fastpath.base_compute_times`) duck-types over
     exactly these four fields, so any machine can supply its own.
     """
 
@@ -285,7 +285,6 @@ class MachineModel(ABC):
         self,
         config: MachineConfig,
         topology: Optional[Topology] = None,
-        tracer: Optional[Any] = None,
     ) -> Any:
         """A :class:`MemorySystemModel` at this configuration."""
 

@@ -127,7 +127,6 @@ class FT2000PlusMachine(MachineModel):
         self,
         config: UniformMachineConfig,
         topology: Optional[TableTopology] = None,
-        tracer: Optional[Any] = None,
     ) -> TableMemorySystem:
         return TableMemorySystem(
             topology or self._topology,

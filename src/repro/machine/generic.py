@@ -224,10 +224,6 @@ class TableMemorySystem:
             for i in range(topology.n_controllers)
         )
 
-    def controller_of_core(self, core: int) -> BandwidthController:
-        """The controller serving ``core``."""
-        return self.controllers[self.topology.mc_index_of_core(core)]
-
     def latency_for_core(self, core: int, core_mhz: float, mesh_mhz: float) -> float:
         """Uncontended line-fill latency seen by ``core`` (seconds)."""
         hops = self.topology.hops_to_mc(core)
@@ -236,15 +232,6 @@ class TableMemorySystem:
             + self.lat_mesh_cycles_per_hop * hops / (mesh_mhz * 1e6)
             + self.lat_mem_cycles / (self.mem_mhz * 1e6)
         )
-
-    def group_cores_by_controller(
-        self, cores: Sequence[int]
-    ) -> Dict[int, List[int]]:
-        """Partition ``cores`` by serving controller index."""
-        groups: Dict[int, List[int]] = {}
-        for c in cores:
-            groups.setdefault(self.topology.mc_index_of_core(c), []).append(c)
-        return groups
 
 
 class HopInterconnect:

@@ -78,11 +78,8 @@ class SCCMachine(MachineModel):
         self,
         config: SCCConfig,
         topology: Optional[SCCTopology] = None,
-        tracer: Optional[Any] = None,
     ) -> MemorySystem:
-        return MemorySystem(
-            topology or self._topology, mem_mhz=config.mem_mhz, tracer=tracer
-        )
+        return MemorySystem(topology or self._topology, mem_mhz=config.mem_mhz)
 
     def interconnect(
         self,

@@ -10,14 +10,12 @@ Subpackages model the pieces of the chip the paper's study exercises:
   bitwise-identical to :mod:`~repro.scc.cache` at full Table-I scale.
 - :mod:`~repro.scc.locality` — vectorized reuse/footprint/miss models.
 - :mod:`~repro.scc.memory` — Eq. 1 latency and controller bandwidth.
-- :mod:`~repro.scc.core_model` — P54C in-order timing composition.
 - :mod:`~repro.scc.power` / :mod:`~repro.scc.chip` — frequency menus,
   configuration presets (conf0/1/2) and the calibrated power model.
 """
 
 from .chip import CONF0, CONF1, CONF2, PRESETS, SCCConfig
 from .cache import Cache, CacheHierarchy, CacheStats
-from .core_model import AccessSummary, core_flops, core_time
 from .locality import (
     FootprintCurve,
     MissRatioCurve,
@@ -66,9 +64,6 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "CacheStats",
-    "AccessSummary",
-    "core_flops",
-    "core_time",
     "FootprintCurve",
     "MissRatioCurve",
     "ReuseProfile",

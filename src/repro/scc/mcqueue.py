@@ -8,8 +8,10 @@ compute gaps; a FIFO server drains one line per ``1/capacity`` seconds;
 a request completes no earlier than its Eq. 1 latency.
 
 :func:`simulate_controller` returns per-core completion times that
-``benchmarks/test_ablation_mcqueue.py`` and the unit tests compare with
-:func:`repro.core.timing.solve_core_times`'s predictions — agreement
+``benchmarks/test_ablation_mcqueue.py``, ``repro run validate`` and the
+unit tests compare with the equilibrium's predictions
+(:func:`repro.sparse.fastpath.equilibrium_line_times`, the per-controller
+step of :func:`repro.core.timing.solve_core_times_batched`) — agreement
 within a few percent across unsaturated, saturated and asymmetric
 workloads is what licenses using the closed form everywhere else.
 """

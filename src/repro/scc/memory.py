@@ -1,23 +1,22 @@
 """Off-chip memory model: read latency (paper Eq. 1) and MC bandwidth.
 
-Two effects dominate the paper's results and both live here:
+Two effects dominate the paper's results and both start here:
 
 * **Distance-dependent latency** — Eq. 1 of the paper: a core's memory
   request costs ``40`` core cycles + ``4*2n`` mesh cycles (n = hops to
   its controller) + ``46`` memory cycles.  The P54C stalls for the whole
   round trip (in-order, blocking caches).
 * **Controller sharing** — six tiles (12 cores) share one DDR3
-  controller.  When aggregate demand exceeds a controller's sustained
-  bandwidth, each core's effective per-line service time degrades to
-  its fair share.  We model this with the deterministic closed form
-  ``t_line_effective = max(latency, demand_lines/sec / (BW/line_bytes))``
-  evaluated per controller (see :class:`MemorySystem.effective_line_time`).
+  controller with a fixed sustained bandwidth.  This module supplies
+  each controller's bandwidth; the bandwidth-sharing equilibrium that
+  turns it into per-core line times is solved in
+  :func:`repro.core.timing.solve_core_times_batched`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Tuple
 
 from .params import (
     CACHE_LINE_BYTES,
@@ -88,72 +87,18 @@ class MemorySystem:
         topology: SCCTopology | None = None,
         mem_mhz: float = 800.0,
         line_bytes: int = CACHE_LINE_BYTES,
-        tracer: Optional[Any] = None,
     ) -> None:
         if mem_mhz <= 0:
             raise ValueError(f"mem_mhz must be positive, got {mem_mhz}")
         self.topology = topology or SCCTopology()
         self.mem_mhz = mem_mhz
         self.line_bytes = line_bytes
-        #: optional :class:`repro.obs.Tracer`: effective line-time
-        #: solutions are recorded as per-controller histograms.
-        self.tracer = tracer
         self.controllers = tuple(
             MemoryController(index=i, coord=coord, mem_mhz=mem_mhz)
             for i, coord in enumerate(self.topology.mc_coords)
         )
 
-    def controller_of_core(self, core: int) -> MemoryController:
-        """The MC serving this core's private memory."""
-        return self.controllers[self.topology.mc_index_of_core(core)]
-
     def latency_for_core(self, core: int, core_mhz: float, mesh_mhz: float) -> float:
         """Eq. 1 round-trip latency for this core's hop count."""
         hops = self.topology.hops_to_mc(core)
         return memory_read_latency(hops, core_mhz, mesh_mhz, self.mem_mhz)
-
-    def group_cores_by_controller(self, cores: Iterable[int]) -> Dict[int, list]:
-        """Map MC index -> the given cores it serves."""
-        groups: Dict[int, list] = {mc.index: [] for mc in self.controllers}
-        for c in cores:
-            groups[self.topology.mc_index_of_core(c)].append(c)
-        return groups
-
-    def effective_line_time(
-        self,
-        core: int,
-        core_mhz: float,
-        mesh_mhz: float,
-        demand_lines_per_sec: Mapping[int, float],
-    ) -> float:
-        """Effective seconds per missed cache line seen by ``core``.
-
-        ``demand_lines_per_sec`` maps every *active* core to the line
-        rate it would sustain if unconstrained.  If the total demand on
-        this core's controller exceeds its bandwidth, the core's service
-        time inflates by the over-subscription factor — i.e. the
-        controller hands each requester its proportional share.  The
-        uncontended floor is the Eq. 1 round-trip latency.
-        """
-        latency = self.latency_for_core(core, core_mhz, mesh_mhz)
-        mc = self.controller_of_core(core)
-        mc_line_rate = mc.bandwidth / self.line_bytes  # lines/sec capacity
-        total_demand = sum(
-            rate
-            for other, rate in demand_lines_per_sec.items()
-            if self.topology.mc_index_of_core(other) == mc.index
-        )
-        result = latency
-        my_rate = demand_lines_per_sec.get(core, 0.0)
-        if total_demand > 0 and total_demand > mc_line_rate and my_rate > 0:
-            # Saturated: each line effectively takes its fair-share
-            # service time; latency still bounds from below.
-            share = mc_line_rate * (my_rate / total_demand)
-            result = max(latency, 1.0 / share)
-        tr = self.tracer
-        if tr:
-            tr.metrics.histogram("mem.effective_line_time_s", mc=mc.index).observe(result)
-            tr.metrics.gauge("mem.mc_oversubscription", mc=mc.index).set(
-                total_demand / mc_line_rate
-            )
-        return result

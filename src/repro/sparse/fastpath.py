@@ -1,30 +1,28 @@
-"""NumPy-vectorized analytic SpMV timing: the campaign fast path.
+"""NumPy-vectorized analytic SpMV timing: the one per-core model path.
 
 The event-driven simulator reproduces every synchronization event of a
 run, which is the right tool for protocol studies but a slow way to
 sweep the paper's figure grids (cores x mappings x configs x the whole
 Table I suite).  Analytic bandwidth/latency models are known to predict
 SpMV scaling well (Schubert/Hager/Fehske, arXiv:0910.4836; Chen et al.,
-arXiv:1911.08779), and our per-core model is *already* analytic — only
-the barrier replay runs through the simulator.  This module batches the
-per-core arithmetic over all UEs at once:
+arXiv:1911.08779), and the per-core model is analytic in every mode —
+only the barrier replay of ``mode="sim"`` runs through the simulator.
+This module holds the per-core arithmetic, batched over all UEs at once:
 
 * :func:`batch_traces` columnizes per-UE stream characterizations into
   arrays;
-* :func:`batch_access_summaries` applies the three cache regimes of
-  :func:`repro.core.trace.access_summary` (L2-resident / streaming /
-  L2-off) to every UE in one vectorized pass;
+* :func:`batch_access_summaries` is the package's one fold of the three
+  cache regimes (L2-resident / streaming / L2-off, paper Sec. IV-B);
 * :func:`base_compute_times`, :func:`memory_latencies` and
-  :func:`equilibrium_line_times` vectorize the P54C cycle composition,
-  the Eq. 1 latency and the per-controller bandwidth equilibrium of
-  :mod:`repro.core.timing`.
+  :func:`equilibrium_line_times` are the P54C cycle composition, the
+  Eq. 1 latency and the per-controller bandwidth equilibrium.
 
 Everything here is pure array math — no topology, chip or runtime
 imports — so the layer below :mod:`repro.core` stays dependency-clean.
 The glue that feeds it cores/frequencies/hop counts lives in
 :func:`repro.core.timing.solve_core_times_batched`; the differential
-test harness (``tests/test_differential_fastpath.py``) pins the fast
-path against the event-driven simulator.
+test harness (``tests/test_differential_fastpath.py``) pins the analytic
+barrier recurrence against the event-driven simulator.
 """
 
 from __future__ import annotations
@@ -70,7 +68,12 @@ class BatchedTraces:
 
 @dataclass(frozen=True)
 class BatchedSummaries:
-    """Vectorized :class:`repro.scc.core_model.AccessSummary` columns."""
+    """Cache-level outcome counts of every UE's kernel execution.
+
+    ``l2_misses`` are *lines fetched from memory* (each stalls the core
+    for the effective memory line time); ``l2_hits`` are L1 misses the
+    L2 served.  L1 hits are folded into the per-nonzero base cycles.
+    """
 
     nnz: np.ndarray        #: int64
     rows: np.ndarray       #: int64
@@ -105,13 +108,22 @@ def batch_access_summaries(
     no_x_miss: bool = False,
     l2_bytes: int = 256 * 1024,
 ) -> BatchedSummaries:
-    """Vectorized fold of per-iteration traces into run totals.
+    """Fold per-iteration traces into totals for ``iterations`` SpMVs.
 
-    Mirrors :func:`repro.core.trace.access_summary` element-wise — the
-    same three regimes, the same arithmetic — evaluated for every UE at
-    once.  The default ``l2_bytes`` matches
+    Three regimes (paper Sec. IV-B), evaluated for every UE at once:
+
+    - **L2-resident** (working set <= ``l2_bytes``): only the first
+      iteration misses to memory; later iterations turn every L1 miss
+      into an L2 hit.
+    - **Streaming** (working set > ``l2_bytes``): the streams miss to
+      memory every iteration; gather accesses that fit L2 but not L1 are
+      L2 hits.
+    - **L2 disabled** (Fig. 7): every L1 miss pays the memory latency.
+
+    ``no_x_miss`` drops the ``x`` gather's misses (the paper's
+    ``no_x_miss`` kernel variant).  The default ``l2_bytes`` matches
     :data:`repro.scc.params.L2_BYTES`; callers pass it explicitly to
-    stay in sync with their chip parameters.
+    stay in sync with their machine's cache geometry.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -193,12 +205,12 @@ def _equilibrium_t_star(
     """One controller's equilibrium service time (bracket + bisection).
 
     ``members`` holds ``(base_time, mem_lines, latency)`` per core of the
-    group.  Same scheme as
-    :func:`repro.core.timing._controller_line_time`; the demand sum
-    deliberately runs as a sequential interpreter loop — controller
-    groups hold at most a dozen cores, where ufunc dispatch costs more
-    than the arithmetic, and left-to-right summation keeps every
-    bisection iterate bitwise-identical to the scalar solver's.
+    group; :mod:`repro.core.timing` states the demand function and why
+    its root is unique.  The demand sum deliberately runs as a
+    sequential interpreter loop: controller groups hold at most a dozen
+    cores, where ufunc dispatch costs more than the arithmetic, and a
+    fixed left-to-right summation order keeps every bisection iterate
+    reproducible bit for bit.
     """
     triples = [(a, m, la) for a, m, la in members if m > 0]
 
@@ -242,7 +254,7 @@ def equilibrium_line_times(
     ``mc_index`` assigns each UE to a memory controller; ``capacities``
     gives each controller's line rate (lines/sec).  Controllers are
     solved independently; each member core floors at its own Eq. 1
-    latency, exactly as in the scalar solver.
+    latency.
 
     ``groups`` — precomputed ``(member_indices, capacity)`` pairs, one
     per occupied controller — skips the per-call grouping; sweeps derive

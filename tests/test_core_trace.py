@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import access_summary, characterize_partition
+from repro.core import characterize_partition
 from repro.core.trace import UETrace
 from repro.scc.params import L2_BYTES
 from repro.sparse import banded, partition_rows_balanced, random_uniform
+from repro.sparse.fastpath import batch_access_summaries, batch_traces
 
 
 def trace_of(a, n_ues=1, **kw):
@@ -93,47 +94,53 @@ def make_trace(**kw):
     return UETrace(**defaults)
 
 
+def fold_one(trace, **kw):
+    """The one-UE fold: ``(l2_hits, l2_misses, batch)`` of ``trace``."""
+    s = batch_access_summaries(batch_traces([trace]), **kw)
+    return float(s.l2_hits[0]), float(s.l2_misses[0]), s
+
+
 class TestAccessSummary:
     def test_resident_regime_cold_misses_once(self):
         t = make_trace(ws_bytes=L2_BYTES // 2)
-        s = access_summary(t, iterations=10)
-        assert s.l2_misses == t.distinct_lines  # cold only
+        hits, misses, _ = fold_one(t, iterations=10)
+        assert misses == t.distinct_lines  # cold only
         per_iter_l1 = t.stream_lines + t.x_l1_misses
-        assert s.l2_hits == pytest.approx(per_iter_l1 * 10 - t.distinct_lines)
+        assert hits == pytest.approx(per_iter_l1 * 10 - t.distinct_lines)
 
     def test_streaming_regime_misses_every_iteration(self):
         t = make_trace(ws_bytes=4 * L2_BYTES)
-        s = access_summary(t, iterations=10)
-        assert s.l2_misses == pytest.approx((t.stream_lines + t.x_l2_misses) * 10)
-        assert s.l2_hits == pytest.approx((t.x_l1_misses - t.x_l2_misses) * 10)
+        hits, misses, _ = fold_one(t, iterations=10)
+        assert misses == pytest.approx((t.stream_lines + t.x_l2_misses) * 10)
+        assert hits == pytest.approx((t.x_l1_misses - t.x_l2_misses) * 10)
 
     def test_l2_disabled_regime(self):
         t = make_trace(ws_bytes=L2_BYTES // 2)  # would fit, but L2 is off
-        s = access_summary(t, iterations=5, l2_enabled=False)
-        assert s.l2_hits == 0
-        assert s.l2_misses == pytest.approx((t.stream_lines + t.x_l1_misses) * 5)
+        hits, misses, _ = fold_one(t, iterations=5, l2_enabled=False)
+        assert hits == 0
+        assert misses == pytest.approx((t.stream_lines + t.x_l1_misses) * 5)
 
     def test_no_x_miss_removes_gather_misses(self):
         t = make_trace(ws_bytes=4 * L2_BYTES)
-        s = access_summary(t, iterations=2, no_x_miss=True)
-        assert s.l2_misses == pytest.approx(t.stream_lines * 2)
-        assert s.l2_hits == 0.0
+        hits, misses, _ = fold_one(t, iterations=2, no_x_miss=True)
+        assert misses == pytest.approx(t.stream_lines * 2)
+        assert hits == 0.0
 
     def test_no_x_miss_in_resident_regime(self):
         t = make_trace(ws_bytes=L2_BYTES // 2)
-        s = access_summary(t, iterations=3, no_x_miss=True)
-        assert s.l2_misses == t.stream_lines  # x colds gone too
+        _, misses, _ = fold_one(t, iterations=3, no_x_miss=True)
+        assert misses == t.stream_lines  # x colds gone too
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):
-            access_summary(make_trace(), iterations=0)
+            fold_one(make_trace(), iterations=0)
 
     def test_flops_follow_iterations(self):
-        s = access_summary(make_trace(), iterations=7)
-        assert s.flops == 2 * 10_000 * 7
+        _, _, s = fold_one(make_trace(), iterations=7)
+        assert 2 * int(s.nnz.sum()) * s.iterations == 2 * 10_000 * 7
 
     def test_boundary_exactly_at_l2(self):
         t = make_trace(ws_bytes=L2_BYTES)
-        s = access_summary(t, iterations=2)
+        _, misses, _ = fold_one(t, iterations=2)
         # <= L2 counts as resident.
-        assert s.l2_misses == t.distinct_lines
+        assert misses == t.distinct_lines

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import characterize_partition
 from repro.rcce import RCCERuntime
 from repro.scc import Cache, SCCTopology, footprint_curve, miss_ratio_curve, reuse_profile, reuse_times
 from repro.sim import Simulator
@@ -18,6 +19,7 @@ from repro.sparse import (
     spmv_reference,
     working_set_bytes,
 )
+from repro.sparse.fastpath import batch_access_summaries, batch_traces
 
 SET = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -116,6 +118,56 @@ class TestSparseProperties:
         assert ws >= 4
         assert working_set_bytes(n + 1, nnz) > ws
         assert working_set_bytes(n, nnz + 1) > ws
+
+
+# --- access-summary fold properties ------------------------------------------
+
+#: (L1, L2) bytes: the SCC's own, and two tiny hierarchies under which
+#: generated matrices overflow L2, so the streaming regime occurs too.
+CACHE_SIZES = [(16 * 1024, 256 * 1024), (256, 1024), (64, 256)]
+
+
+class TestSummaryFoldProperties:
+    """Every regime of the one fold stays between the cold count and the total."""
+
+    @SET
+    @given(
+        coo_matrices(max_n=120, max_nnz=400),
+        st.integers(1, 4),
+        st.sampled_from(CACHE_SIZES),
+        st.integers(1, 12),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_fold_conserves_l1_misses_and_covers_cold_set(
+        self, coo, n_ues, sizes, iterations, l2_enabled, no_x_miss
+    ):
+        csr = coo.to_csr()
+        l1_bytes, l2_bytes = sizes
+        traces = characterize_partition(
+            csr,
+            partition_rows_balanced(csr, min(n_ues, csr.n_rows)),
+            l1_bytes=l1_bytes,
+            l2_bytes=l2_bytes,
+        )
+        batch = batch_traces(traces)
+        s = batch_access_summaries(
+            batch,
+            iterations=iterations,
+            l2_enabled=l2_enabled,
+            no_x_miss=no_x_miss,
+            l2_bytes=l2_bytes,
+        )
+        x_l1 = 0.0 if no_x_miss else batch.x_l1_misses
+        x_cold = 0.0 if no_x_miss else batch.x_distinct_lines
+        # Every L1 miss is served by exactly one of L2 or memory ...
+        np.testing.assert_allclose(
+            s.l2_hits + s.l2_misses,
+            (batch.stream_lines + x_l1) * iterations,
+            rtol=1e-12,
+        )
+        # ... and memory serves at least the cold set.
+        assert np.all(s.l2_misses >= batch.stream_lines + x_cold)
 
 
 # --- locality model properties ------------------------------------------------

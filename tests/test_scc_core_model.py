@@ -1,34 +1,41 @@
-"""Tests for the P54C timing composition."""
+"""Tests for the P54C timing composition.
+
+Core time is ``A_c + M_c * line_time``: the core-clock term ``A_c``
+(:func:`repro.sparse.fastpath.base_compute_times`) plus one effective
+memory line time per memory line fetch, composed by
+:func:`repro.core.timing.solve_core_times_batched`.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.scc import AccessSummary, DEFAULT_TIMING, P54CTimingParams, core_flops, core_time
+from repro.core import solve_core_times_batched
+from repro.scc import CONF0, DEFAULT_TIMING, MemorySystem, P54CTimingParams
+from repro.sparse.fastpath import BatchedSummaries, base_compute_times
 
 
 def summary(nnz=1000, rows=100, iters=1, l2_hits=0.0, l2_misses=0.0):
-    return AccessSummary(nnz=nnz, rows=rows, iterations=iters, l2_hits=l2_hits, l2_misses=l2_misses)
+    return BatchedSummaries(
+        nnz=np.array([nnz], dtype=np.int64),
+        rows=np.array([rows], dtype=np.int64),
+        iterations=iters,
+        l2_hits=np.array([l2_hits], dtype=np.float64),
+        l2_misses=np.array([l2_misses], dtype=np.float64),
+    )
 
 
-class TestAccessSummary:
-    def test_flops_is_2nnz_per_iteration(self):
-        assert summary(nnz=500, iters=3).flops == 3000
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            AccessSummary(nnz=-1, rows=0, iterations=1, l2_hits=0, l2_misses=0)
-        with pytest.raises(ValueError):
-            AccessSummary(nnz=1, rows=0, iterations=1, l2_hits=-1, l2_misses=0)
-        with pytest.raises(ValueError):
-            AccessSummary(nnz=1, rows=0, iterations=1, l2_hits=0, l2_misses=-2)
+def compute_time(s, core_mhz, timing=DEFAULT_TIMING):
+    """Core-clock seconds of the one summarized UE (no memory stalls)."""
+    return float(base_compute_times(s, np.array([float(core_mhz)]), timing)[0])
 
 
 class TestCoreTime:
     def test_pure_compute_scales_with_frequency(self):
         s = summary()
-        t533 = core_time(s, 533, 0.0)
-        t800 = core_time(s, 800, 0.0)
+        t533 = compute_time(s, 533)
+        t800 = compute_time(s, 800)
         assert t533 / t800 == pytest.approx(800 / 533)
 
     def test_compute_cycles_composition(self):
@@ -40,41 +47,26 @@ class TestCoreTime:
         )
         s = summary(nnz=1000, rows=50, iters=2, l2_hits=30)
         cycles = 10 * 1000 * 2 + 20 * 50 * 2 + 100 * 2 + 15 * 30
-        assert core_time(s, 100, 0.0, tp) == pytest.approx(cycles / 100e6)
+        assert compute_time(s, 100, tp) == pytest.approx(cycles / 100e6)
 
     def test_memory_term_additive(self):
-        s = summary(l2_misses=1000)
-        t0 = core_time(s, 533, 0.0)
-        t1 = core_time(s, 533, 100e-9)
-        assert t1 - t0 == pytest.approx(1000 * 100e-9)
+        mem = MemorySystem(mem_mhz=CONF0.mem_mhz)
+        [t0] = solve_core_times_batched(summary(), [0], CONF0, mem)
+        [t1] = solve_core_times_batched(summary(l2_misses=1000), [0], CONF0, mem)
+        assert t1.time - t0.time == pytest.approx(1000 * t1.line_time)
 
     def test_memory_term_independent_of_core_clock(self):
+        # Memory line fetches add no core-clock cycles: with no compute
+        # work the A_c term is zero at any clock.
         s = summary(nnz=0, rows=0, l2_misses=500)
         tp = P54CTimingParams(call_overhead_cycles=0.0)
-        assert core_time(s, 100, 1e-7, tp) == pytest.approx(core_time(s, 800, 1e-7, tp))
-
-    def test_invalid_inputs(self):
-        s = summary()
-        with pytest.raises(ValueError):
-            core_time(s, 0, 0.0)
-        with pytest.raises(ValueError):
-            core_time(s, 533, -1e-9)
+        assert compute_time(s, 100, tp) == pytest.approx(compute_time(s, 800, tp))
 
     def test_row_overhead_hurts_short_rows(self):
         """Same nnz split over 10x more rows runs slower (paper Sec. IV-B)."""
         long_rows = summary(nnz=10000, rows=100)
         short_rows = summary(nnz=10000, rows=5000)
-        assert core_time(short_rows, 533, 0.0) > core_time(long_rows, 533, 0.0)
-
-
-class TestCoreFlops:
-    def test_flops_per_second(self):
-        s = summary(nnz=1000, iters=4)
-        assert core_flops(s, 2.0) == pytest.approx(4000.0)
-
-    def test_zero_time_rejected(self):
-        with pytest.raises(ValueError):
-            core_flops(summary(), 0.0)
+        assert compute_time(short_rows, 533) > compute_time(long_rows, 533)
 
 
 class TestDefaultCalibration:
@@ -87,14 +79,16 @@ class TestDefaultCalibration:
         nnz, rows = 100_000, 5_000
         # Streaming L1 misses that hit L2: ~0.42 lines per nnz.
         s = summary(nnz=nnz, rows=rows, iters=1, l2_hits=0.42 * nnz)
-        t = core_time(s, 533, 0.0, DEFAULT_TIMING)
+        t = compute_time(s, 533, DEFAULT_TIMING)
         mflops = 2 * nnz / t / 1e6
         assert 35 <= mflops <= 50
 
     def test_single_core_memory_bound_rate_near_anchor(self):
         """~20-27 MFLOPS/s for one core streaming from memory."""
         nnz, rows = 100_000, 5_000
-        s = summary(nnz=nnz, rows=rows, iters=1, l2_misses=0.42 * nnz)
-        t = core_time(s, 533, 132.5e-9, DEFAULT_TIMING)
+        lines = 0.42 * nnz
+        s = summary(nnz=nnz, rows=rows, iters=1, l2_misses=lines)
+        # Eq. 1 at conf0 with zero hops: 132.5 ns per line.
+        t = compute_time(s, 533, DEFAULT_TIMING) + lines * 132.5e-9
         mflops = 2 * nnz / t / 1e6
         assert 18 <= mflops <= 30

@@ -3,10 +3,11 @@ closed-form equilibrium used by the timing solver."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.timing import _controller_line_time
 from repro.scc.mcqueue import CoreWorkload, simulate_controller
+from repro.sparse.fastpath import equilibrium_line_times
 
 
 class TestValidation:
@@ -62,10 +63,11 @@ class TestAgreementWithClosedForm:
         base = [w.compute_time for w in workloads]
         lines = [float(w.n_lines) for w in workloads]
         lats = [w.latency for w in workloads]
-        t_star = _controller_line_time(base, lines, lats, capacity)
-        return [
-            b + m * max(t_star, l) for b, m, l in zip(base, lines, lats)
-        ]
+        line_times = equilibrium_line_times(
+            np.array(base), np.array(lines), np.array(lats),
+            np.zeros(len(workloads), dtype=np.int64), [capacity],
+        )
+        return [b + m * t for b, m, t in zip(base, lines, line_times.tolist())]
 
     @pytest.mark.parametrize(
         "n_cores,capacity",

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.scc import MemorySystem, SCCTopology, memory_read_latency
+from repro.core import solve_core_times_batched
+from repro.core.timing import _chip_arrays
+from repro.scc import CONF0, MemorySystem, P54CTimingParams, memory_read_latency
+from repro.sparse.fastpath import BatchedSummaries
 from repro.scc.params import (
     LAT_CORE_CYCLES,
     LAT_MEM_CYCLES,
@@ -76,7 +80,7 @@ class TestMemorySystem:
         mem = MemorySystem(topology)
         for q in range(4):
             for core in topology.cores_of_quadrant(q):
-                assert mem.controller_of_core(core).index == q
+                assert mem.controllers[topology.mc_index_of_core(core)].index == q
 
     def test_latency_for_core_uses_hops(self, topology):
         mem = MemorySystem(topology)
@@ -86,41 +90,67 @@ class TestMemorySystem:
 
     def test_group_cores_by_controller(self, topology):
         mem = MemorySystem(topology)
-        groups = mem.group_cores_by_controller(range(48))
-        assert sorted(groups) == [0, 1, 2, 3]
-        assert all(len(v) == 12 for v in groups.values())
+        _freqs, _lats, mc_index, _caps, groups = _chip_arrays(list(range(48)), CONF0, mem)
+        assert sorted(set(mc_index.tolist())) == [0, 1, 2, 3]
+        assert all(len(members) == 12 for members, _cap in groups)
+
+
+#: no core-clock work at all: a core's time is its memory stalls alone.
+MEMORY_ONLY = P54CTimingParams(
+    base_cycles_per_nnz=0.0,
+    row_overhead_cycles=0.0,
+    l2_hit_cycles=0.0,
+    call_overhead_cycles=0.0,
+)
+
+
+def line_times(topology, lines_by_core, timing=MEMORY_ONLY):
+    """Effective line time of every given core, solved together at conf0."""
+    n = len(lines_by_core)
+    batch = BatchedSummaries(
+        nnz=np.zeros(n, dtype=np.int64),
+        rows=np.zeros(n, dtype=np.int64),
+        iterations=1,
+        l2_hits=np.zeros(n),
+        l2_misses=np.array(list(lines_by_core.values()), dtype=np.float64),
+    )
+    mem = MemorySystem(topology, mem_mhz=CONF0.mem_mhz)
+    solved = solve_core_times_batched(batch, list(lines_by_core), CONF0, mem, timing)
+    return {t.core: t.line_time for t in solved}
 
 
 class TestEffectiveLineTime:
+    """The per-line service time the contention solver hands each core."""
+
     def test_uncontended_returns_latency(self, topology):
         mem = MemorySystem(topology)
         lat = mem.latency_for_core(0, 533, 800)
         # One quiet core: demand far below capacity.
-        t = mem.effective_line_time(0, 533, 800, {0: 1000.0})
+        quiet = P54CTimingParams(base_cycles_per_nnz=0.0, call_overhead_cycles=533e6)
+        t = line_times(topology, {0: 1000.0}, timing=quiet)[0]
         assert t == pytest.approx(lat)
 
     def test_saturated_inflates(self, topology):
         mem = MemorySystem(topology)
-        cap_lines = mem.controllers[0].bandwidth / 32
-        # 12 cores of quadrant 0 each demanding half the full capacity.
-        demand = {c: cap_lines / 2 for c in topology.cores_of_quadrant(0)}
+        # 12 memory-bound cores of quadrant 0.
+        demand = {c: 1e6 for c in topology.cores_of_quadrant(0)}
         lat = mem.latency_for_core(0, 533, 800)
-        t = mem.effective_line_time(0, 533, 800, demand)
+        t = line_times(topology, demand)[0]
         assert t > lat
 
     def test_other_quadrant_demand_ignored(self, topology):
         mem = MemorySystem(topology)
-        cap_lines = mem.controllers[0].bandwidth / 32
-        demand = {c: cap_lines for c in topology.cores_of_quadrant(1)}
+        demand = {c: 1e6 for c in topology.cores_of_quadrant(1)}
         demand[0] = 100.0
+        quiet = P54CTimingParams(base_cycles_per_nnz=0.0, call_overhead_cycles=533e6)
         lat = mem.latency_for_core(0, 533, 800)
-        assert mem.effective_line_time(0, 533, 800, demand) == pytest.approx(lat)
+        assert line_times(topology, demand, timing=quiet)[0] == pytest.approx(lat)
 
     def test_fair_share_at_saturation(self, topology):
         mem = MemorySystem(topology)
         cap_lines = mem.controllers[0].bandwidth / 32
         cores = topology.cores_of_quadrant(0)
-        demand = {c: cap_lines for c in cores}  # 12x oversubscription
-        t = mem.effective_line_time(cores[0], 533, 800, demand)
-        # Equal demands -> each gets cap/12 lines/sec.
-        assert t == pytest.approx(12 / cap_lines)
+        t = line_times(topology, {c: 1e6 for c in cores})[cores[0]]
+        # Equal memory-only demands -> each gets cap/12 lines/sec (to the
+        # bisection's stopping tolerance).
+        assert t == pytest.approx(12 / cap_lines, rel=1e-4)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import access_summary, characterize_partition
+from repro.core import characterize_partition
 from repro.scc import CacheHierarchy
 from repro.scc.tracegen import (
     DEFAULT_LAYOUT,
@@ -22,6 +22,7 @@ from repro.scc.tracegen import (
 )
 from repro.scc.vecreplay import VectorCacheHierarchy
 from repro.sparse import banded, partition_rows_balanced, random_uniform
+from repro.sparse.fastpath import batch_access_summaries, batch_traces
 
 
 class TestLayout:
@@ -308,24 +309,24 @@ class TestModelValidation:
         part = partition_rows_balanced(a, 1)
         [trace] = characterize_partition(a, part)
         # Single pass, cold caches: the model's cold+capacity prediction.
-        summary = access_summary(trace, iterations=1)
+        summary = batch_access_summaries(batch_traces([trace]), iterations=1)
         exact = replay_trace(a, iterations=1)
-        assert summary.l2_misses == pytest.approx(exact.mem_misses, rel=0.30)
+        assert summary.l2_misses[0] == pytest.approx(exact.mem_misses, rel=0.30)
 
     def test_resident_regime_warm_iterations(self):
         a = banded(500, 8.0, 10, seed=13)  # fits L2
         part = partition_rows_balanced(a, 1)
         [trace] = characterize_partition(a, part)
         iters = 8
-        summary = access_summary(trace, iterations=iters)
+        summary = batch_access_summaries(batch_traces([trace]), iterations=iters)
         exact = replay_trace(a, iterations=iters)
         # Memory misses: cold set only, both in model and exact replay.
-        assert summary.l2_misses == pytest.approx(exact.mem_misses, rel=0.30)
+        assert summary.l2_misses[0] == pytest.approx(exact.mem_misses, rel=0.30)
 
     def test_no_x_miss_regime(self):
         a = random_uniform(3000, 10.0, seed=14)
         part = partition_rows_balanced(a, 1)
         [trace] = characterize_partition(a, part)
-        summary = access_summary(trace, iterations=1, no_x_miss=True)
+        summary = batch_access_summaries(batch_traces([trace]), iterations=1, no_x_miss=True)
         exact = replay_trace(a, iterations=1, no_x_miss=True)
-        assert summary.l2_misses == pytest.approx(exact.mem_misses, rel=0.30)
+        assert summary.l2_misses[0] == pytest.approx(exact.mem_misses, rel=0.30)
