@@ -40,10 +40,9 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..machine.base import DEFAULT_MACHINE
 from ..machine.registry import get_machine
@@ -60,6 +59,11 @@ __all__ = [
     "CampaignContext",
     "Campaign",
     "CampaignIntegrityError",
+    "PointItem",
+    "point_identity",
+    "point_on_model",
+    "point_task",
+    "quarantine_record",
     "run_campaign_point",
     "validate_points",
 ]
@@ -229,14 +233,39 @@ def run_campaign_point(pt: CampaignPoint, ctx: CampaignContext) -> dict:
         }
 
 
-def _supervised_point_task(ctx: CampaignContext, pt: CampaignPoint) -> dict:
-    """Pool-worker task: one point (the supervisor itself applies the
-    chaos hook per attempt)."""
-    return run_campaign_point(pt, ctx)
+#: one supervised task of a campaign sweep or the campaign server: a
+#: grid point and the context it runs under (one server pool shards the
+#: points of jobs with different contexts).
+PointItem = Tuple[CampaignPoint, CampaignContext]
 
 
-def _point_identity(pt: CampaignPoint) -> str:
-    return pt.key()
+def point_task(item: PointItem) -> dict:
+    """Supervised task: run one point (see :func:`run_campaign_point`)."""
+    return run_campaign_point(*item)
+
+
+def point_identity(item: PointItem) -> str:
+    """Supervision identity = the resume key, so chaos schedules and
+    quarantine records name points the way campaign files do."""
+    return item[0].key()
+
+
+def point_on_model(item: PointItem) -> Optional[PointItem]:
+    """The ``model`` rung's item: the point on the analytic model with
+    faults off, or None when it already runs there."""
+    pt, ctx = item
+    if ctx.mode == "model":
+        return None
+    return pt, dataclasses.replace(ctx, mode="model", fault_plan=None)
+
+
+def quarantine_record(outcome: TaskOutcome) -> dict:
+    """The record of a poison point: the supervisor's failure history
+    plus the point's grid fields."""
+    pt, ctx = outcome.item
+    rec = outcome.quarantine_record()
+    rec.update(_grid_fields(pt, pt.machine or ctx.machine))
+    return rec
 
 
 def _iter_jsonl(path: Path, tolerate_trailing: bool = True):
@@ -451,34 +480,6 @@ class Campaign:
             )
         ]
 
-    def _fallbacks(
-        self, ctx: CampaignContext, policy: SupervisePolicy
-    ) -> List[Tuple[str, Callable[[CampaignPoint], dict]]]:
-        """The graceful-degradation ladder implied by ``policy.on_failure``.
-
-        ``serial`` reruns the point in the parent process (no pool, no
-        fork — rules out pool-side failures); ``model`` additionally
-        retries on the analytic fast path with faults disabled, trading
-        exactness for a record instead of a hole.
-        """
-        ladder: List[Tuple[str, Callable[[CampaignPoint], dict]]] = []
-        if policy.on_failure in ("serial", "model"):
-            ladder.append(
-                ("serial", lambda pt: run_campaign_point(pt, ctx))
-            )
-        if policy.on_failure == "model" and ctx.mode != "model":
-            model_ctx = dataclasses.replace(ctx, mode="model", fault_plan=None)
-            ladder.append(
-                ("model", lambda pt: run_campaign_point(pt, model_ctx))
-            )
-        return ladder
-
-    def _quarantine_record(self, pt: CampaignPoint, outcome: TaskOutcome) -> dict:
-        """The persistent record of a poison point (keeps the grid fields)."""
-        rec = outcome.quarantine_record()
-        rec.update(_grid_fields(pt, pt.machine or self.machine))
-        return rec
-
     def run(
         self,
         points: Iterable[CampaignPoint],
@@ -492,15 +493,17 @@ class Campaign:
         campaign down.  Duplicate points in ``points`` count as skipped,
         same as points already on disk.
 
-        ``workers == 1`` without a ``policy`` runs every point in this
-        process.  Otherwise the pending points are sharded over
-        ``workers`` forked processes under the self-healing supervisor
-        (:mod:`repro.core.supervise`) with ``policy`` (default:
-        :class:`SupervisePolicy`): worker deaths, hangs
-        (``policy.task_timeout``) and unexpected task errors are retried
-        in-pool with deterministic backoff; a point failing every
-        attempt walks the ``policy.on_failure`` degradation ladder and,
-        if nothing rescues it, is persisted as a ``quarantined`` record
+        Every point runs through :mod:`repro.core.supervise`, which
+        owns the execution rule: ``workers == 1`` without a ``policy``
+        runs every point in this process, unsupervised.  Otherwise the
+        pending points are sharded over ``workers`` forked processes
+        under ``policy`` (default: :class:`SupervisePolicy`): worker
+        deaths, hangs (``policy.task_timeout``) and unexpected task
+        errors are retried in-pool with deterministic backoff; a point
+        failing every attempt walks the ``--on-failure`` degradation
+        ladder (its ``model`` rung reruns the point on the analytic
+        model, :func:`point_on_model`) and, if nothing rescues it, is
+        persisted as a ``quarantined`` record
         the next ``run`` will retry.  Records are appended in submission
         order regardless of completion order, and recovered points carry
         no retry metadata, so the file is bitwise-identical to the
@@ -520,42 +523,26 @@ class Campaign:
             pending.append(pt)
         ctx = self._context()
         registry = MetricsRegistry()
-        if workers == 1 and policy is None:
-            outcomes: Iterable[TaskOutcome] = (
-                TaskOutcome(
-                    pt, pt.key(), ok=True, attempts=1,
-                    value=run_campaign_point(pt, ctx),
-                )
-                for pt in pending
-            )
-        else:
-            policy = policy or SupervisePolicy()
-            outcomes = supervised_iter_ordered(
-                partial(_supervised_point_task, ctx),
-                pending,
-                workers,
-                policy,
-                identity=_point_identity,
-                fallbacks=self._fallbacks(ctx, policy),
-                metrics=registry,
-            )
         ran = 0
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
-                for outcome in outcomes:
-                    pt = outcome.item
-                    rec = (
-                        outcome.value
-                        if outcome.ok
-                        else self._quarantine_record(pt, outcome)
-                    )
-                    rec["_key"] = pt.key()
+                for outcome in supervised_iter_ordered(
+                    point_task,
+                    [(pt, ctx) for pt in pending],
+                    workers,
+                    policy,
+                    identity=point_identity,
+                    degrade=point_on_model,
+                    metrics=registry,
+                ):
+                    rec = outcome.value if outcome.ok else quarantine_record(outcome)
+                    rec["_key"] = outcome.identity
                     rec["scale"] = self.scale
                     self._append(fh, rec)
                     ran += 1
         finally:
             #: ``supervise.*`` counters of the most recent run (empty
-            #: for an in-process run).
+            #: for an unsupervised in-process run).
             self.last_supervise = registry.flat_summary()
         return ran, skipped
 

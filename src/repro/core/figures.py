@@ -119,11 +119,13 @@ def run_suite_batch(task: Tuple) -> List[ExperimentResult]:
     return [exp.run(**spec) for spec in specs]
 
 
-def _model_fallback(task: Tuple) -> List[ExperimentResult]:
-    """Degradation-ladder rung: rerun a suite batch on the analytic model."""
+def _batch_on_model(task: Tuple) -> Optional[Tuple]:
+    """The ``model`` rung's task: the suite batch on the analytic model,
+    or None when every run already uses it."""
     mid, scale, name, specs = task[:4]
-    retask = (mid, scale, name, [dict(spec, mode="model") for spec in specs])
-    return run_suite_batch(retask + tuple(task[4:]))
+    if all(spec.get("mode") == "model" for spec in specs):
+        return None
+    return (mid, scale, name, [dict(spec, mode="model") for spec in specs]) + tuple(task[4:])
 
 
 def _task_identity(task: Tuple) -> str:
@@ -150,7 +152,7 @@ def _batch_run(
     partition/trace caches across that matrix's runs) and fanned out
     via :func:`~repro.core.supervise.supervised_parallel_map` under
     ``policy`` (default: :class:`SupervisePolicy`): crashed or hung
-    workers are retried and, when ``policy.on_failure`` requests it, a
+    workers are retried and, when ``--on-failure`` requests it, a
     failing batch is rerun serially in the parent and then on
     ``mode="model"``.  A figure sweep cannot tolerate holes — a batch
     surviving neither retries nor the ladder raises
@@ -171,7 +173,6 @@ def _batch_run(
         workers, policy = 1, None
     if workers <= 1 and policy is None:
         return [experiments[i][1].run(mode=mode, **kw) for i, kw in jobs]
-    policy = policy or SupervisePolicy()
     by_exp: Dict[int, List[int]] = {}
     for j, (i, _kw) in enumerate(jobs):
         by_exp.setdefault(i, []).append(j)
@@ -182,18 +183,13 @@ def _batch_run(
         mid, scale = ref[0], ref[1]
         task = (mid, scale, exp.name, [dict(jobs[j][1], mode=mode) for j in job_ids])
         tasks.append(task + tuple(ref[2:]))
-    fallbacks: List[Tuple[str, object]] = []
-    if policy.on_failure in ("serial", "model"):
-        fallbacks.append(("serial", run_suite_batch))
-    if policy.on_failure == "model" and mode != "model":
-        fallbacks.append(("model", _model_fallback))
     batches = supervised_parallel_map(
         run_suite_batch,
         tasks,
         workers,
         policy,
         identity=_task_identity,
-        fallbacks=fallbacks,  # type: ignore[arg-type]
+        degrade=_batch_on_model,
     )
     out: List[ExperimentResult] = [None] * len(jobs)  # type: ignore[list-item]
     for job_ids, batch in zip(by_exp.values(), batches):

@@ -22,10 +22,15 @@ campaign server) shards its points over forked workers here, and a
   attempt count and tracebacks instead of killing the sweep; callers
   (``Campaign``) persist it as a ``status: "quarantined"`` record that
   resume treats as retryable;
-- **degradation** — before quarantining, the supervisor walks an
-  optional fallback ladder (e.g. rerun serially in the parent, then on
-  ``mode="model"``) supplied by the caller and selected via
-  ``--on-failure``.
+- **degradation** — before quarantining, the supervisor walks the
+  ``--on-failure`` ladder (:attr:`SupervisePolicy.on_failure`) in the
+  parent: ``serial`` reruns the task there, ``model`` then reruns the
+  item the caller's ``degrade`` hook rewrote onto the analytic model.
+  This module is the only reader of that policy field.
+
+``workers == 1`` with no policy is the in-process rule every fan-out
+shares: the plain loop, unsupervised — nothing caught, retried or
+counted.
 
 Workers talk to the supervisor over one private pipe each — never a
 shared queue — so a SIGKILLed worker can corrupt only its own channel,
@@ -67,7 +72,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
@@ -177,8 +181,9 @@ class SupervisePolicy:
     #: seed of the deterministic jitter stream.
     seed: int = 0
     #: what to do when a task exhausts every attempt (see
-    #: :data:`ON_FAILURE_LADDER`); callers translate ``serial``/``model``
-    #: into a concrete fallback ladder.
+    #: :data:`ON_FAILURE_LADDER`); the supervisor builds the rungs
+    #: itself, callers only supply the ``degrade`` hook the ``model``
+    #: rung needs.
     on_failure: str = "quarantine"
 
     def __post_init__(self) -> None:
@@ -428,6 +433,53 @@ class _Task:
     failures: List[TaskFailure] = field(default_factory=list)
 
 
+def _rungs(
+    item: Any, policy: SupervisePolicy, degrade: Optional[Callable[[Any], Any]]
+) -> Iterator[Tuple[str, Any]]:
+    """The ``(label, item)`` rungs ``policy.on_failure`` selects.
+
+    ``serial`` reruns the item as is; ``model`` adds ``degrade(item)``,
+    skipped when the caller has no such hook or the item already runs
+    on the analytic model (``degrade`` returns None).
+    """
+    if policy.on_failure in ("serial", "model"):
+        yield "serial", item
+    if policy.on_failure == "model" and degrade is not None:
+        degraded = degrade(item)
+        if degraded is not None:
+            yield "model", degraded
+
+
+def _exhausted(
+    func: Callable[[Any], Any],
+    t: _Task,
+    policy: SupervisePolicy,
+    degrade: Optional[Callable[[Any], Any]],
+    count: Callable[..., None],
+) -> TaskOutcome:
+    """Walk the degradation ladder in the parent, else quarantine."""
+    for label, item in _rungs(t.item, policy, degrade):
+        try:
+            value = func(item)
+        except Exception:  # noqa: BLE001 - every rung may fail
+            t.failures.append(
+                TaskFailure(t.attempts, f"fallback:{label}", traceback.format_exc())
+            )
+            continue
+        count("fallbacks")
+        return TaskOutcome(
+            t.item, t.identity, ok=True, value=value,
+            attempts=t.attempts, failures=t.failures, fallback=label,
+        )
+    count("quarantines")
+    outcome = TaskOutcome(
+        t.item, t.identity, ok=False, attempts=t.attempts, failures=t.failures
+    )
+    if policy.on_failure == "raise":
+        raise QuarantinedTaskError(outcome)
+    return outcome
+
+
 def supervised_iter_ordered(
     func: Callable[[_T], Any],
     items: Iterable[_T],
@@ -435,18 +487,25 @@ def supervised_iter_ordered(
     policy: Optional[SupervisePolicy] = None,
     *,
     identity: Callable[[_T], str] = str,
-    fallbacks: Sequence[Tuple[str, Callable[[_T], Any]]] = (),
+    degrade: Optional[Callable[[_T], Optional[_T]]] = None,
     metrics: Optional[MetricsRegistry] = None,
     window_factor: int = 4,
 ) -> Iterator[TaskOutcome]:
     """Yield a :class:`TaskOutcome` per item, in submission order.
 
-    Worker deaths, hangs and task exceptions are retried per ``policy``
-    (default: :class:`SupervisePolicy`, two retries, no timeout,
-    quarantine), and a task that exhausts every attempt (and every ``fallbacks`` rung, tried in the
-    parent process) is yielded as a quarantined outcome — unless
-    ``policy.on_failure == "raise"``, which raises
-    :class:`QuarantinedTaskError`.
+    ``workers == 1`` with no ``policy`` runs ``func`` over ``items`` in
+    this process, unsupervised: an exception propagates, nothing is
+    retried or counted, and every outcome is ``ok`` after one attempt.
+
+    Otherwise worker deaths, hangs and task exceptions are retried per
+    ``policy`` (default: :class:`SupervisePolicy`, two retries, no
+    timeout, quarantine).  A task that exhausts every attempt walks the
+    ``policy.on_failure`` ladder in the parent — ``serial`` reruns
+    ``func(item)``, ``model`` then runs ``func(degrade(item))`` when
+    ``degrade`` rewrites the item onto the analytic model (it returns
+    None for an item already there) — and is yielded as a quarantined
+    outcome if no rung rescues it, unless ``policy.on_failure ==
+    "raise"``, which raises :class:`QuarantinedTaskError`.
 
     At most ``window_factor * workers`` tasks are admitted beyond the
     oldest unyielded one, so arbitrarily long sweeps hold O(window)
@@ -459,6 +518,10 @@ def supervised_iter_ordered(
     in-process loop with retry/fallback/quarantine semantics but no
     timeout enforcement (there is no worker to kill), with a warning.
     """
+    if workers == 1 and policy is None:
+        for item in items:
+            yield TaskOutcome(item, identity(item), ok=True, value=func(item), attempts=1)
+        return
     policy = policy or SupervisePolicy()
     m = metrics if metrics is not None else MetricsRegistry()
 
@@ -472,7 +535,7 @@ def supervised_iter_ordered(
             "in-process (retries apply, task timeouts cannot be enforced)",
             stacklevel=2,
         )
-        yield from _serial_supervised(func, items, policy, identity, fallbacks, count)
+        yield from _serial_supervised(func, items, policy, identity, degrade, count)
         return
 
     n_workers = max(1, min(workers, available_parallelism()))
@@ -498,39 +561,11 @@ def supervised_iter_ordered(
         results[task_id] = outcome
         del tasks[task_id]
 
-    def exhausted_task(task_id: int) -> None:
-        t = tasks[task_id]
-        for label, fb in fallbacks:
-            try:
-                value = fb(t.item)
-            except Exception:  # noqa: BLE001 - every rung may fail
-                t.failures.append(
-                    TaskFailure(t.attempts, f"fallback:{label}", traceback.format_exc())
-                )
-                continue
-            count("fallbacks")
-            complete(
-                task_id,
-                TaskOutcome(
-                    t.item, t.identity, ok=True, value=value,
-                    attempts=t.attempts, failures=t.failures, fallback=label,
-                ),
-            )
-            return
-        count("quarantines")
-        outcome = TaskOutcome(
-            t.item, t.identity, ok=False,
-            attempts=t.attempts, failures=t.failures,
-        )
-        if policy.on_failure == "raise":
-            raise QuarantinedTaskError(outcome)
-        complete(task_id, outcome)
-
     def failure(task_id: int, kind: str, detail: str) -> None:
         t = tasks[task_id]
         t.failures.append(TaskFailure(t.attempts, kind, detail))
         if t.attempts >= policy.max_attempts:
-            exhausted_task(task_id)
+            complete(task_id, _exhausted(func, t, policy, degrade, count))
         else:
             count("retries")
             delay = backoff_delay(policy, t.identity, t.attempts + 1)
@@ -664,53 +699,32 @@ def supervised_iter_ordered(
 
 
 def _serial_supervised(
-    func, items, policy, identity, fallbacks, count
+    func, items, policy, identity, degrade, count
 ) -> Iterator[TaskOutcome]:
     """Fork-less fallback: in-process retries, no timeout enforcement."""
     for item in items:
-        ident = identity(item)
+        t = _Task(item=item, identity=identity(item))
         count("tasks")
-        failures: List[TaskFailure] = []
         outcome: Optional[TaskOutcome] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
+        while outcome is None and t.attempts < policy.max_attempts:
+            t.attempts += 1
+            if t.attempts > 1:
                 count("retries")
-                delay = backoff_delay(policy, ident, attempt)
+                delay = backoff_delay(policy, t.identity, t.attempts)
                 count("backoff_seconds", delay)
                 time.sleep(delay)
             try:
                 value = func(item)
             except Exception:  # noqa: BLE001
-                failures.append(TaskFailure(attempt, "error", traceback.format_exc()))
+                t.failures.append(
+                    TaskFailure(t.attempts, "error", traceback.format_exc())
+                )
                 continue
             outcome = TaskOutcome(
-                item, ident, ok=True, value=value, attempts=attempt, failures=failures
+                item, t.identity, ok=True, value=value,
+                attempts=t.attempts, failures=t.failures,
             )
-            break
-        if outcome is None:
-            attempts = policy.max_attempts
-            for label, fb in fallbacks:
-                try:
-                    value = fb(item)
-                except Exception:  # noqa: BLE001
-                    failures.append(
-                        TaskFailure(attempts, f"fallback:{label}", traceback.format_exc())
-                    )
-                    continue
-                count("fallbacks")
-                outcome = TaskOutcome(
-                    item, ident, ok=True, value=value, attempts=attempts,
-                    failures=failures, fallback=label,
-                )
-                break
-        if outcome is None:
-            count("quarantines")
-            outcome = TaskOutcome(
-                item, ident, ok=False, attempts=policy.max_attempts, failures=failures
-            )
-            if policy.on_failure == "raise":
-                raise QuarantinedTaskError(outcome)
-        yield outcome
+        yield outcome or _exhausted(func, t, policy, degrade, count)
 
 
 def supervised_parallel_map(
@@ -720,20 +734,20 @@ def supervised_parallel_map(
     policy: Optional[SupervisePolicy] = None,
     *,
     identity: Callable[[_T], str] = str,
-    fallbacks: Sequence[Tuple[str, Callable[[_T], Any]]] = (),
+    degrade: Optional[Callable[[_T], Optional[_T]]] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[Any]:
     """Order-preserving supervised map; raises on any quarantined task.
 
     Figure sweeps cannot tolerate holes — every grid point feeds an
     average — so a task that survives neither the retries nor the
-    fallback ladder raises :class:`QuarantinedTaskError` here regardless
-    of ``policy.on_failure``.
+    degradation ladder raises :class:`QuarantinedTaskError` here
+    regardless of ``policy.on_failure``.
     """
     out: List[Any] = []
     for outcome in supervised_iter_ordered(
         func, items, workers, policy,
-        identity=identity, fallbacks=fallbacks, metrics=metrics,
+        identity=identity, degrade=degrade, metrics=metrics,
     ):
         if not outcome.ok:
             raise QuarantinedTaskError(outcome)

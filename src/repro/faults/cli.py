@@ -219,26 +219,14 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
 
         opts = (plan, args.cores, args.scale, args.iterations, args.budget)
         task = partial(_fault_run_task, opts)
-        policy = policy_from_args(args)
-        if workers == 1 and policy is None:
-            rows = [task(mid) for mid in ids]
-        else:
-            # Supervised fan-out: crashed/hung runs are retried per policy;
-            # 'serial'/'model' degrade to an in-parent rerun (fault runs
-            # need the event-driven runtime, so there is no model rung).
-            from ..core.supervise import SupervisePolicy, supervised_parallel_map
+        from ..core.supervise import supervised_parallel_map
 
-            policy = policy or SupervisePolicy()
-            fallbacks = (
-                [("serial", task)]
-                if policy.on_failure in ("serial", "model")
-                else []
-            )
-            rows = supervised_parallel_map(
-                task, ids, workers, policy,
-                identity=lambda mid: f"faults:{mid}",
-                fallbacks=fallbacks,
-            )
+        # Fault runs need the event-driven runtime: no ``degrade`` hook,
+        # so ``--on-failure model`` stops at the serial rung.
+        rows = supervised_parallel_map(
+            task, ids, workers, policy_from_args(args),
+            identity=lambda mid: f"faults:{mid}",
+        )
         all_verified = all(row["verified"] for row in rows)
         for row in rows:
             row["verified"] = "yes" if row["verified"] else "NO"

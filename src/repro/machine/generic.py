@@ -183,10 +183,6 @@ class BandwidthController:
     index: int
     bandwidth: float  #: bytes/second
 
-    @property
-    def line_service_time(self) -> float:  # pragma: no cover - debug aid
-        return 1.0 / self.bandwidth
-
 
 class TableMemorySystem:
     """Memory system of a generic machine at one configuration.

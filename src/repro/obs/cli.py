@@ -324,11 +324,7 @@ def _time_sweep(args: argparse.Namespace) -> float:
     tasks = _sweep_tasks(args)
 
     def sweep() -> None:
-        if args.workers == 1:
-            for task in tasks:
-                run_suite_batch(task)
-        else:
-            supervised_parallel_map(run_suite_batch, tasks, args.workers)
+        supervised_parallel_map(run_suite_batch, tasks, args.workers)
 
     sweep()  # warmup
     t0 = time.perf_counter()

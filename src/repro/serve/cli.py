@@ -94,7 +94,7 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
     server = CampaignServer(
         data_dir=args.data_dir,
         workers=args.workers,
-        policy=policy_from_args(args) or None,
+        policy=policy_from_args(args),
         host=args.host,
         port=args.port,
     )

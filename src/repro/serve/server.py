@@ -28,7 +28,6 @@ the same only-observed-failures semantics as the simulated
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import threading
@@ -36,11 +35,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.campaign import CampaignContext, CampaignPoint
+from ..core.campaign import (
+    CampaignContext,
+    CampaignPoint,
+    point_identity,
+    point_on_model,
+    point_task,
+    quarantine_record,
+)
 from ..core.supervise import SupervisePolicy, supervised_iter_ordered
 from ..obs.metrics import MetricsRegistry, summary_prefix
 from ..store import ContentStore
-from .protocol import API_ROOT, CampaignSpec, SpecError, execute_point
+from .protocol import API_ROOT, CampaignSpec, SpecError
 from .queue import Job, PointQueue
 
 __all__ = ["CampaignServer", "STORE_NAMESPACE"]
@@ -51,18 +57,6 @@ STORE_NAMESPACE = "serve-points"
 #: scheduler poll period: how long a claim waits before re-checking the
 #: shutdown flag when the queue is idle.
 _IDLE_WAIT_S = 0.2
-
-
-def _serve_task(item: Tuple[CampaignPoint, CampaignContext]) -> dict:
-    """Pool-worker task: one point."""
-    return execute_point(*item)
-
-
-def _serve_identity(item: Tuple[CampaignPoint, CampaignContext]) -> str:
-    """Supervision identity = the campaign resume key, so chaos
-    schedules and quarantine records name points the same way
-    ``repro chaos`` and campaign files do."""
-    return item[0].key()
 
 
 class CampaignServer:
@@ -202,34 +196,17 @@ class CampaignServer:
 
     # -- scheduler -------------------------------------------------------
 
-    def _fallbacks(self):
-        """The graceful-degradation ladder of :meth:`Campaign._fallbacks`,
-        itemized: each rung receives the ``(point, context)`` pair so one
-        pool can shard points of different jobs (different contexts)."""
-        ladder = []
-        if self.policy.on_failure in ("serial", "model"):
-            ladder.append(("serial", _serve_task))
-        if self.policy.on_failure == "model":
-
-            def model_rung(item):
-                pt, ctx = item
-                if ctx.mode != "model":
-                    ctx = dataclasses.replace(ctx, mode="model", fault_plan=None)
-                return execute_point(pt, ctx)
-
-            ladder.append(("model", model_rung))
-        return ladder
-
     def _run_batch(
         self, batch: List[Tuple[str, CampaignPoint, CampaignContext]]
     ) -> None:
         """Shard one claimed batch across the supervised pool.
 
-        Outcome handling mirrors :meth:`Campaign._run_supervised`: a
-        successful value completes its key (persisting unless a
-        model-mode fallback changed the record's meaning), an exhausted
-        task completes as a quarantine record — fanned out to waiters
-        but never stored, so the point stays retryable.
+        Each item runs :meth:`Campaign.run`'s point task under the same
+        degradation ladder.  A successful value completes its key,
+        stored unless the ``model`` rung changed the record's meaning.
+        An exhausted task completes as the campaign's quarantine record,
+        fanned out to waiters but never stored, so the point stays
+        retryable.
         """
         items = [(pt, ctx) for _key, pt, ctx in batch]
         keys = [key for key, _pt, _ctx in batch]
@@ -240,16 +217,15 @@ class CampaignServer:
             self._health["batches"] = int(self._health["batches"]) + 1
             self._health["tasks"] = int(self._health["tasks"]) + len(batch)
         try:
-            for key, (pt, _ctx), outcome in zip(
+            for key, outcome in zip(
                 keys,
-                items,
                 supervised_iter_ordered(
-                    _serve_task,
+                    point_task,
                     items,
                     self.workers,
                     self.policy,
-                    identity=_serve_identity,
-                    fallbacks=self._fallbacks(),
+                    identity=point_identity,
+                    degrade=point_on_model,
                     metrics=self.metrics,
                 ),
             ):
@@ -265,23 +241,16 @@ class CampaignServer:
                             int(self._health["quarantined"]) + 1
                         )
                 if outcome.ok:
+                    # Campaign.run appends scale too: a served record
+                    # is the campaign file's record minus ``_key``
+                    rec = dict(outcome.value, scale=outcome.item[1].scale)
                     self.queue.complete(
-                        key,
-                        outcome.value,
-                        persist=outcome.fallback != "model",
+                        key, rec, persist=outcome.fallback != "model"
                     )
                 else:
-                    rec = outcome.quarantine_record()
-                    rec.update(
-                        {
-                            "matrix_id": pt.mid,
-                            "n_cores": pt.n_cores,
-                            "config": pt.config,
-                            "mapping": pt.mapping,
-                            "kernel": pt.kernel,
-                        }
+                    self.queue.complete(
+                        key, quarantine_record(outcome), quarantined=True
                     )
-                    self.queue.complete(key, rec, quarantined=True)
         finally:
             # Keys a dying pool left claimed go back to pending so the
             # next scheduler pass retries them (no point is ever lost).

@@ -3,8 +3,8 @@
 :mod:`repro.core.supervise` promises that worker deaths, hangs and task
 exceptions never take a sweep down: failed attempts retry with
 deterministic backoff, hung workers are SIGKILLed at the task deadline,
-poison tasks quarantine with a structured failure history, and an
-optional fallback ladder rescues tasks in the parent before quarantine.
+poison tasks quarantine with a structured failure history, and the
+``on_failure`` ladder rescues tasks in the parent before quarantine.
 These tests pin each promise with real forked workers and real injected
 faults (the :data:`~repro.core.supervise.CHAOS_ENV` schedule).
 """
@@ -25,6 +25,7 @@ from repro.core.supervise import (
     backoff_delay,
     chaos_spec,
     fork_context,
+    in_worker,
     maybe_chaos,
     supervised_iter_ordered,
     supervised_parallel_map,
@@ -47,6 +48,21 @@ def _square(x: int) -> int:
 def _sleep_forever(x: int) -> int:
     time.sleep(300)
     return x
+
+
+def _fails_below_100(x: int) -> int:
+    if x < 100:
+        raise RuntimeError(f"no simulator for {x}")
+    return x
+
+
+def _always_fails(x: int) -> int:
+    raise RuntimeError(f"poison {x}")
+
+
+def _onto_model(x: int):
+    """A ``degrade`` hook: items >= 100 already run on the model."""
+    return None if x >= 100 else x + 100
 
 
 def _chaos(monkeypatch, schedule: dict) -> None:
@@ -218,8 +234,7 @@ class TestSupervisedIterOrdered:
                 _square,
                 range(4),
                 workers=2,
-                policy=SupervisePolicy(max_retries=0, **FAST),
-                fallbacks=[("serial", _square)],
+                policy=SupervisePolicy(max_retries=0, on_failure="serial", **FAST),
                 metrics=registry,
             )
         )
@@ -230,6 +245,66 @@ class TestSupervisedIterOrdered:
         m = summary_prefix(registry.flat_summary(), "supervise")
         assert m["fallbacks"] == 1
         assert "quarantines" not in m
+
+    def test_on_failure_quarantine_runs_no_rung(self, monkeypatch):
+        _chaos(monkeypatch, {"2": {"action": "kill", "attempts": "all"}})
+        registry = MetricsRegistry()
+        outcomes = list(
+            supervised_iter_ordered(
+                _square,
+                range(4),
+                workers=2,
+                policy=SupervisePolicy(max_retries=0, **FAST),
+                degrade=lambda x: x,
+                metrics=registry,
+            )
+        )
+        poisoned = outcomes[2]
+        assert not poisoned.ok and poisoned.fallback is None
+        assert [f.kind for f in poisoned.failures] == ["crash"]
+        m = summary_prefix(registry.flat_summary(), "supervise")
+        assert m["quarantines"] == 1
+        assert "fallbacks" not in m
+
+    def test_model_rung_runs_the_degraded_item(self):
+        # items >= 100 stand for "already on the model": degrade skips them
+        outcomes = list(
+            supervised_iter_ordered(
+                _fails_below_100,
+                [1, 2],
+                workers=2,
+                policy=SupervisePolicy(max_retries=0, on_failure="model", **FAST),
+                degrade=_onto_model,
+            )
+        )
+        for x, outcome in zip([1, 2], outcomes):
+            assert outcome.ok and outcome.fallback == "model"
+            assert outcome.item == x and outcome.value == x + 100
+            assert [f.kind for f in outcome.failures] == ["error", "fallback:serial"]
+
+    def test_model_rung_skipped_for_items_already_on_the_model(self):
+        outcomes = list(
+            supervised_iter_ordered(
+                _always_fails,
+                [100],
+                workers=2,
+                policy=SupervisePolicy(max_retries=0, on_failure="model", **FAST),
+                degrade=_onto_model,
+            )
+        )
+        assert not outcomes[0].ok
+        assert [f.kind for f in outcomes[0].failures] == ["error", "fallback:serial"]
+
+    def test_model_rung_needs_a_degrade_hook(self):
+        outcomes = list(
+            supervised_iter_ordered(
+                _always_fails,
+                [1],
+                workers=2,
+                policy=SupervisePolicy(max_retries=0, on_failure="model", **FAST),
+            )
+        )
+        assert [f.kind for f in outcomes[0].failures] == ["error", "fallback:serial"]
 
     def test_on_failure_raise_aborts(self, monkeypatch):
         _chaos(monkeypatch, {"0": {"action": "raise", "attempts": "all"}})
@@ -285,6 +360,40 @@ class TestSupervisedParallelMap:
         assert excinfo.value.outcome.identity == "1"
 
 
+class TestInProcess:
+    """``workers=1`` with no policy: the plain loop, unsupervised."""
+
+    def test_runs_in_process_and_counts_nothing(self):
+        registry = MetricsRegistry()
+        outcomes = list(
+            supervised_iter_ordered(
+                lambda x: (x * x, in_worker()), [2, 3], workers=1, metrics=registry
+            )
+        )
+        assert [o.value for o in outcomes] == [(4, False), (9, False)]
+        assert all(o.ok and o.attempts == 1 and not o.failures for o in outcomes)
+        assert registry.flat_summary() == {}
+
+    def test_exception_propagates_unretried(self):
+        calls = []
+
+        def boom(x: int) -> int:
+            calls.append(x)
+            raise RuntimeError("no retry in-process")
+
+        with pytest.raises(RuntimeError, match="no retry in-process"):
+            supervised_parallel_map(boom, [1, 2], workers=1)
+        assert calls == [1]
+
+    def test_a_policy_still_supervises(self):
+        outcomes = list(
+            supervised_iter_ordered(
+                lambda x: in_worker(), [0], workers=1, policy=SupervisePolicy(**FAST)
+            )
+        )
+        assert outcomes[0].value is True
+
+
 class TestForklessDegradation:
     def test_serial_supervision_retries_and_quarantines(self, monkeypatch):
         import repro.core.supervise as sup
@@ -313,3 +422,27 @@ class TestForklessDegradation:
         assert outcomes[1].attempts == 2
         assert not outcomes[2].ok
         assert outcomes[2].attempts == 2
+
+    def test_serial_supervision_walks_the_same_ladder(self, monkeypatch):
+        import repro.core.supervise as sup
+
+        monkeypatch.setattr(sup, "fork_context", lambda: None)
+        registry = MetricsRegistry()
+        with pytest.warns(UserWarning, match="in-process"):
+            outcomes = list(
+                sup.supervised_iter_ordered(
+                    _fails_below_100,
+                    [1, 100],
+                    workers=4,
+                    policy=SupervisePolicy(max_retries=1, on_failure="model", **FAST),
+                    degrade=_onto_model,
+                    metrics=registry,
+                )
+            )
+        assert outcomes[0].fallback == "model" and outcomes[0].value == 101
+        assert [f.kind for f in outcomes[0].failures] == [
+            "error", "error", "fallback:serial",
+        ]
+        assert outcomes[1].ok and outcomes[1].fallback is None
+        m = summary_prefix(registry.flat_summary(), "supervise")
+        assert m["fallbacks"] == 1 and m["retries"] == 1
